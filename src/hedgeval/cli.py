@@ -27,9 +27,7 @@ from .coco import (
     write_detections,
     write_report,
 )
-from .evaluate import EvalConfig, build_report
-from .mask import decode
-from .matching import confidence_order, greedy_match
+from .evaluate import EvalConfig, build_report, compute_slices
 from .nms import DECAYS, METHODS, SCORE_MODES, NmsConfig, run_nms
 from .pr import build_pr_curve
 from .synth import SynthConfig, generate, perfect_detector
@@ -305,37 +303,28 @@ def cmd_synth(out, n_images, parts, height, width, sigma_frac, length_range,
 @click.option("--out", default="-", type=click.File("w"),
               help="CSV destination (default standard output).")
 def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
-    """Emit the ranked precision-recall curve as CSV."""
-    if not 0.0 < iou_thr < 1.0:
-        raise click.BadParameter("--iou-thr must lie in (0, 1)")
-    if max_dets < 1:
-        raise click.BadParameter("--max-dets must be at least 1")
+    """Emit the ranked precision-recall curve as CSV.
+
+    Detections are ranked, capped per image and matched exactly as eval
+    does for AP.
+    """
+    try:
+        cfg = EvalConfig(iou_thrs=(iou_thr,), max_dets=max_dets)
+    except ValueError as e:
+        raise click.BadParameter(str(e))
     dataset, dets = _load_pair(gt, dt)
     if category is not None and category not in dataset.categories:
         raise click.ClickException(f"category {category} is not in the dataset")
 
     wanted = ((category,) if category is not None else tuple(sorted(dataset.categories)))
-    scores_pool, flags_pool, n_gt = [], [], 0
-    for image_id in sorted(dataset.images):
-        gts = dataset.gts_by_image.get(image_id, [])
-        image_dets = dets.by_image.get(image_id, [])
-        all_scores = np.array([d.score for d in image_dets], dtype=np.float64)
-        capped = np.sort(confidence_order(all_scores)[:max_dets])
+    scores, flags, n_gt = [np.zeros(0)], [np.zeros(0, dtype=bool)], 0
+    for sl in compute_slices(dataset, dets.by_image, cfg):
         for cat in wanted:
-            gm = [decode(g.mask) for g in gts if g.category_id == cat]
-            n_gt += len(gm)
-            idx = [i for i in capped if image_dets[i].category_id == cat]
-            if not idx:
-                continue
-            dm = [decode(image_dets[i].mask) for i in idx]
-            s = all_scores[idx]
-            res = greedy_match(dm, s, gm, iou_thr)
-            scores_pool.append(s)
-            flags_pool.append(np.array([g is not None for g in res.det_to_gt]))
-
-    scores = np.concatenate(scores_pool) if scores_pool else np.zeros(0)
-    flags = np.concatenate(flags_pool) if flags_pool else np.zeros(0, dtype=bool)
-    curve = build_pr_curve(scores, flags, n_gt, iou_thr, category)
+            if cat in sl.ranked:
+                n_gt += sl.n_gt[cat]
+                scores.append(sl.ranked[cat]["scores"])
+                flags.append(sl.ranked[cat]["flags"][iou_thr])
+    curve = build_pr_curve(np.concatenate(scores), np.concatenate(flags), n_gt, iou_thr, category)
     writer = csv.writer(out)
     writer.writerow(["rank", "confidence", "is_tp", "precision", "recall"])
     for i in range(len(curve)):

@@ -61,10 +61,6 @@ class SemanticMaskSet:
     image_id: int
     masks: dict[int, np.ndarray]
 
-    def mask_for(self, category_id: int, height: int, width: int) -> np.ndarray:
-        got = self.masks.get(category_id)
-        return got if got is not None else np.zeros((height, width), dtype=bool)
-
 
 @dataclass
 class Dataset:
@@ -124,17 +120,24 @@ def load_ground_truth(path) -> Dataset:
     for rec in raw["images"]:
         _require(rec, ("id", "height", "width"), "image record")
         info = ImageInfo(int(rec["id"]), int(rec["height"]), int(rec["width"]))
+        if info.id in images:
+            raise LoadError(f"images: duplicate id {info.id}")
         images[info.id] = info
     categories: dict[int, CategoryInfo] = {}
     for rec in raw["categories"]:
         _require(rec, ("id", "name"), "category record")
-        categories[int(rec["id"])] = CategoryInfo(int(rec["id"]), str(rec["name"]))
+        cat = CategoryInfo(int(rec["id"]), str(rec["name"]))
+        if cat.id in categories:
+            raise LoadError(f"categories: duplicate id {cat.id}")
+        categories[cat.id] = cat
 
     gts_by_image: dict[int, list[GroundTruthInstance]] = {i: [] for i in images}
+    ann_ids: set[int] = set()
     for rec in raw["annotations"]:
         _require(rec, ("id", "image_id", "category_id", "segmentation"), "annotation")
         ann_id = rec["id"]
         try:
+            instance_id = int(ann_id)
             if int(rec.get("iscrowd", 0)):
                 raise LoadError("iscrowd annotations are not supported")
             image_id = int(rec["image_id"])
@@ -149,8 +152,11 @@ def load_ground_truth(path) -> Dataset:
                 raise LoadError("mask is empty")
         except (LoadError, MalformedRleError, ValueError) as e:
             raise LoadError(f"annotation {ann_id}: {e}") from e
+        if instance_id in ann_ids:
+            raise LoadError(f"annotations: duplicate id {instance_id}")
+        ann_ids.add(instance_id)
         gts_by_image[image_id].append(
-            GroundTruthInstance(image_id, int(ann_id), category_id, mask)
+            GroundTruthInstance(image_id, instance_id, category_id, mask)
         )
     return Dataset(images, categories, gts_by_image)
 

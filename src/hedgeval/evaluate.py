@@ -110,13 +110,13 @@ def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
     else:
         capped = np.arange(len(dets))
 
+    det_gt = iou_matrix(det_masks, gt_masks)
     ranked, plain, dc_groups, n_gt = {}, {}, [], {}
     for cat in sorted(set(det_cats.tolist()) | set(gt_cats.tolist())):
         d_all = np.flatnonzero(det_cats == cat)
         g_idx = np.flatnonzero(gt_cats == cat)
         n_gt[cat] = int(g_idx.size)
-        ious_full = iou_matrix([det_masks[i] for i in d_all],
-                               [gt_masks[i] for i in g_idx])
+        ious_full = det_gt[np.ix_(d_all, g_idx)]
 
         rows = np.flatnonzero(np.isin(d_all, capped))
         ious = ious_full[rows]
@@ -142,11 +142,13 @@ def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
             dc_groups.append((scores[d_all],
                               pairwise_iou([det_masks[i] for i in d_all])))
 
-    ne_item = (iou_matrix(det_masks, gt_masks), det_cats.tolist(), gt_cats.tolist())
+    ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
     return _ImageSlice(ranked, plain, dc_groups, ne_item, n_gt)
 
 
-def _compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig):
+def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig):
+    """One ``_ImageSlice`` per image, in image-id order: the inputs of every
+    metric path, with the ranked path capped and matched per ``cfg.iou_thrs``."""
     ids = sorted(dataset.images)
 
     def work(image_id):
@@ -154,9 +156,9 @@ def _compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig):
                             dets_by_image.get(image_id, []), cfg)
 
     if cfg.threads == 1:
-        return ids, [work(i) for i in ids]
+        return [work(i) for i in ids]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return ids, list(pool.map(work, ids))
+        return list(pool.map(work, ids))
 
 
 def _mean_defined(values) -> float | None:
@@ -176,7 +178,7 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     entry count as having no detections.
     """
     cfg = cfg or EvalConfig()
-    ids, slices = _compute_slices(dataset, dets_by_image, cfg)
+    slices = compute_slices(dataset, dets_by_image, cfg)
     cats = sorted(dataset.categories)
 
     n_gt = {c: 0 for c in cats}
@@ -274,7 +276,7 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
     """
     rng = np.random.default_rng(cfg.verify_seed)
     ids = sorted(dataset.images)
-    k = max(1, round(0.01 * len(ids)))
+    k = min(len(ids), max(1, round(0.01 * len(ids))))
     picks = sorted(rng.choice(len(ids), size=k, replace=False).tolist())
     ok = True
     matches_checked = graphs_checked = 0

@@ -60,11 +60,6 @@ class RleMask:
         return {"size": [self.height, self.width], "counts": compress_leb(self)}
 
 
-def mask_area(mask: np.ndarray) -> int:
-    """Count of set pixels."""
-    return int(np.count_nonzero(_as_mask(mask)))
-
-
 def encode(mask: np.ndarray) -> RleMask:
     """Encode a binary mask as column-major alternating runs."""
     mask = _as_mask(mask)
@@ -158,42 +153,37 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def precision_against(d: np.ndarray, m: np.ndarray) -> float:
-    """Fraction of d's pixels that lie in m; 0.0 when d is empty."""
-    d, m = _as_mask(d), _as_mask(m)
-    _check_same_shape(d, m)
-    area = np.count_nonzero(d)
-    return np.count_nonzero(d & m) / area if area else 0.0
+def _flat_stack(masks) -> np.ndarray:
+    return np.stack([m.reshape(-1) for m in masks]).astype(np.float32)
 
 
-def subtract(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Pixels set in m and not in d."""
-    m, d = _as_mask(m), _as_mask(d)
-    _check_same_shape(m, d)
-    return m & ~d
+def _stack_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    inter = (a @ b.T).astype(np.float64)
+    union = a.sum(axis=1, dtype=np.float64)[:, None] + b.sum(axis=1, dtype=np.float64) - inter
+    with np.errstate(invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
 
 
 def iou_matrix(masks_a, masks_b) -> np.ndarray:
     """Pairwise IoU between two mask sequences, shape (len_a, len_b).
 
-    Flattens masks into a matrix and uses a single matmul for intersections;
-    float32 is exact here since pixel counts stay far below 2**24.
+    Flattens masks into a matrix and uses a single matmul for intersections.
+    Exact while each mask has fewer than 2**24 pixels (H*W < 2**24): float32
+    then holds every partial pixel count exactly under any BLAS blocking, so
+    each entry is bit-equal to the same pair computed on its own.
     """
     if len(masks_a) == 0 or len(masks_b) == 0:
         return np.zeros((len(masks_a), len(masks_b)))
-    a = np.stack([m.reshape(-1) for m in masks_a]).astype(np.float32)
-    b = np.stack([m.reshape(-1) for m in masks_b]).astype(np.float32)
-    inter = (a @ b.T).astype(np.float64)
-    areas_a = a.sum(axis=1, dtype=np.float64)
-    areas_b = b.sum(axis=1, dtype=np.float64)
-    union = areas_a[:, None] + areas_b[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+    return _stack_iou(_flat_stack(masks_a), _flat_stack(masks_b))
 
 
 def pairwise_iou(masks) -> np.ndarray:
-    """Symmetric IoU matrix of one mask sequence against itself."""
-    return iou_matrix(masks, masks)
+    """Symmetric IoU matrix of one mask sequence against itself; bit-equal to
+    ``iou_matrix(masks, masks)`` but stacks the masks once."""
+    if len(masks) == 0:
+        return np.zeros((0, 0))
+    a = _flat_stack(masks)
+    return _stack_iou(a, a)
 
 
 def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import decode, iou_matrix
+from .mask import decode, pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -83,7 +83,12 @@ def mask_nms(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
 def _decay_ratio(ious: np.ndarray, cmax: np.ndarray, decay: str, sigma: float) -> np.ndarray:
     if decay == "gaussian":
         return np.exp(-(ious**2 - cmax[:, None] ** 2) / sigma)
-    return (1.0 - ious) / (1.0 - cmax[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (1.0 - ious) / (1.0 - cmax[:, None])
+    # a row with cmax 1 is an exact copy of a higher-ranked detection, whose
+    # own finite row bounds every column; the copy's x/0 adds nothing but a
+    # 0/0 NaN, so the row is dropped from the minimum
+    return np.where(cmax[:, None] < 1.0, ratio, np.inf)
 
 
 def matrix_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 2.0) -> np.ndarray:
@@ -98,7 +103,7 @@ def matrix_nms(masks, scores, categories, decay: str = "gaussian", sigma: float 
         if len(idx) < 2:
             continue
         ranked = idx[confidence_order(scores[idx])]
-        ious = np.triu(iou_matrix([masks[i] for i in ranked], [masks[i] for i in ranked]), k=1)
+        ious = np.triu(pairwise_iou([masks[i] for i in ranked]), k=1)
         cmax = ious.max(axis=0)  # per rank: worst overlap with anything above
         out[ranked] = scores[ranked] * _decay_ratio(ious, cmax, decay, sigma).min(axis=0)
     return out
@@ -114,6 +119,7 @@ def soft_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 
     out = scores.copy()
     for c in np.unique(categories):
         idx = np.flatnonzero(categories == c)
+        pair = pairwise_iou([masks[i] for i in idx])
         cur = scores[idx].copy()
         remaining = list(range(len(idx)))
         while remaining:
@@ -121,8 +127,7 @@ def soft_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 
             remaining.remove(r)
             if not remaining:
                 break
-            rest = [masks[idx[i]] for i in remaining]
-            ious = iou_matrix([masks[idx[r]]], rest)[0]
+            ious = pair[r, remaining]
             if decay == "gaussian":
                 weights = np.exp(-(ious**2) / sigma)
             else:

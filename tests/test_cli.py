@@ -148,6 +148,17 @@ class TestEvalCommand:
         assert "AP[1]" in result.output and "FP:TP@0.50" in result.output
         assert "mAP" not in result.output and "oLRP" not in result.output
 
+    def test_verify_on_empty_image_table(self, runner, tmp_path):
+        gt_path, dt_path = tmp_path / "gt.json", tmp_path / "dt.json"
+        write_ground_truth(Dataset({}, {1: CategoryInfo(1, "thing")}, {}), gt_path)
+        write_detections([], dt_path)
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", "--gt", str(gt_path), "--dt", str(dt_path),
+                                      "--verify", "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        verify = json.loads(report_path.read_text())["verify"]
+        assert verify["images_checked"] == 0 and verify["ok"] is True
+
     def test_malformed_gt_reports_load_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"images": []}))

@@ -119,6 +119,26 @@ class TestLoadGroundTruth:
         with pytest.raises(LoadError, match="segmentation"):
             load_ground_truth(gt_file([{"id": 1, "image_id": 1, "category_id": 1}]))
 
+    @pytest.mark.parametrize("table", ["images", "categories", "annotations"])
+    def test_duplicate_id_names_table_and_id(self, gt_file, table):
+        ann = {"id": 1, "image_id": 1, "category_id": 1,
+               "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
+        tables = {
+            "images": [{"id": 1, "height": 8, "width": 8}],
+            "categories": [{"id": 1, "name": "a"}],
+            "annotations": [ann],
+        }
+        # the second record differs, so neither overwriting nor keeping
+        # both would be a harmless merge
+        second = {"images": {"id": 1, "height": 4, "width": 4},
+                  "categories": {"id": 1, "name": "b"},
+                  "annotations": {**ann, "segmentation": seg_of(block(8, 8, 4, 4, 2, 2))}}
+        tables[table].append(second[table])
+        path = gt_file(tables["annotations"], images=tables["images"],
+                       categories=tables["categories"])
+        with pytest.raises(LoadError, match=f"{table}: duplicate id 1$"):
+            load_ground_truth(path)
+
     def test_write_read_write_stable(self, tmp_path, rng):
         images = [{"id": i, "height": 10, "width": 12} for i in (1, 2)]
         cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
@@ -212,7 +232,6 @@ class TestSemanticMasks:
         ds = load_ground_truth(gt_file([]))
         sem = load_semantic_masks(DERIVE_FROM_GT, ds)
         assert sem[1].masks == {}
-        assert not sem[1].mask_for(1, 8, 8).any()
 
     def test_derive_from_dt_applies_floor(self, gt_file):
         ds = load_ground_truth(gt_file([]))
@@ -243,7 +262,6 @@ class TestSemanticMasks:
         assert np.array_equal(got[2].masks[2], sets[1].masks[2])
         # all-zero masks are stored as absence
         assert 2 not in got[1].masks
-        assert not got[1].mask_for(2, 8, 8).any()
 
     def test_directory_missing_image_entry(self, tmp_path, gt_file):
         ds = load_ground_truth(gt_file([]))

@@ -1,0 +1,118 @@
+"""Golden outputs: two seeded scenes whose CLI outputs are pinned byte for byte.
+
+A change meant to keep behaviour must keep every digest here. Each scene
+pins the ``eval`` report (minus ``created_at``), ``prcurve`` CSVs, and the
+files ``nms --method matrix`` and ``nms --method soft`` keep. The digests
+were recorded before the IoU paths were consolidated; regenerate them only
+for a change that is meant to alter an output.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from hedgeval.cli import main
+from hedgeval.coco import (
+    CategoryInfo,
+    Dataset,
+    GroundTruthInstance,
+    write_detections,
+    write_ground_truth,
+)
+from hedgeval.synth import SynthConfig, generate, perfect_detector
+
+SMALL_PARTS = {"length_range": (14.0, 22.0), "width_range": (3.0, 5.0)}
+
+
+def hedged_scene():
+    """One category, every instance plus three jittered low-confidence copies."""
+    dataset, _ = generate(SynthConfig(n_images=3, parts_per_image=6, height=48, width=48,
+                                      seed=7, **SMALL_PARTS))
+    return dataset, perfect_detector(dataset, spatial_copies=3, seed=7)
+
+
+def multi_category_scene():
+    """Three categories, one jittered copy per instance and relabeled copies.
+
+    About 35 detections per image over 14 instances, so ``--max-dets 10``
+    caps the ranked paths while duplicate confusion and naming error see
+    every detection.
+    """
+    synth, _ = generate(SynthConfig(n_images=3, parts_per_image=14, height=48, width=64,
+                                    seed=9, **SMALL_PARTS))
+    rng = np.random.default_rng(9)
+    gts = {image_id: [GroundTruthInstance(g.image_id, g.instance_id,
+                                          int(rng.integers(1, 4)), g.mask)
+                      for g in instances]
+           for image_id, instances in sorted(synth.gts_by_image.items())}
+    categories = {c: CategoryInfo(c, f"part-{c}") for c in (1, 2, 3)}
+    dataset = Dataset(synth.images, categories, gts)
+    return dataset, perfect_detector(dataset, spatial_copies=1, category_noise=0.5, seed=9)
+
+
+SCENES = {"hedged": hedged_scene, "multi": multi_category_scene}
+
+# output name -> CLI arguments after the input files
+COMMANDS = {
+    "hedged": {
+        "report.json": ["eval"],
+        "pr.csv": ["prcurve"],
+        "matrix.json": ["nms", "--method", "matrix"],
+        "soft.json": ["nms", "--method", "soft"],
+    },
+    "multi": {
+        "report.json": ["eval", "--max-dets", "10"],
+        "pr.csv": ["prcurve"],
+        "pr-cat2.csv": ["prcurve", "--category", "2"],
+        "pr-capped.csv": ["prcurve", "--max-dets", "10", "--iou-thr", "0.75"],
+        "matrix.json": ["nms", "--method", "matrix"],
+        "soft.json": ["nms", "--method", "soft"],
+    },
+}
+
+GOLDEN = {
+    "hedged": {
+        "report.json": "fd59785e7563dc29208b9b86e47b811e653345d6b972f44c8bf1bfbe908d6e5e",
+        "pr.csv": "8aa474258a30c27c794805ba82dab9348c614744eb6388ff62253d1c3e37c87a",
+        "matrix.json": "1205e44a987b703614dbf3fc22d36a70502e346f2ad13c16520bcd46e05aeaa2",
+        "soft.json": "00db9b446e9f0b9db9f3bb3d55347d97b24eb74b57c64a6456b2d9dbf156dd1b",
+    },
+    "multi": {
+        "report.json": "0014ec1f03e3d77841449020888340500b49c9d5e0a7d767ba48097bf5a73c95",
+        "pr.csv": "9a43160030c4ed9c2c6148d0ee5ba1a8df4c9fd3fc7fcd91abd07464ebd33d91",
+        "pr-cat2.csv": "50f4aa1cdd083bb114934ac82a3cadb53cb5012755b489714759b792ae0bf6cb",
+        "pr-capped.csv": "a8ba2f97f8b485857ebd40dff5e5de074f4d94fc754eceaec9afdbf95b3a9439",
+        "matrix.json": "1cd0d94b2bba4d77c803668db52c48a3cedd4839eb72d6700e1b93867836d0c1",
+        "soft.json": "ab6621c1160a520ec2cde7efbced4c2f12f271a84a898ec300bb8d4f9584b25a",
+    },
+}
+
+
+def _digest(path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.json":
+        report = json.loads(data)
+        del report["created_at"]
+        data = json.dumps(report, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("scene", list(SCENES))
+def test_outputs_match_golden_digests(scene, tmp_path, monkeypatch):
+    # relative paths keep the input names recorded in the report fixed
+    monkeypatch.chdir(tmp_path)
+    dataset, dets = SCENES[scene]()
+    write_ground_truth(dataset, tmp_path / "gt.json")
+    write_detections([d for image_id in sorted(dets) for d in dets[image_id]],
+                     tmp_path / "dt.json")
+    runner = CliRunner()
+    digests = {}
+    for name, args in COMMANDS[scene].items():
+        result = runner.invoke(main, [args[0], "--gt", "gt.json", "--dt", "dt.json",
+                                      "--out", name, *args[1:]])
+        assert result.exit_code == 0, result.output
+        digests[name] = _digest(tmp_path / name)
+    assert digests == GOLDEN[scene]

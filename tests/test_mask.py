@@ -16,10 +16,8 @@ from hedgeval.mask import (
     encode,
     iou,
     iou_matrix,
-    mask_area,
-    precision_against,
+    pairwise_iou,
     rasterize_polygon,
-    subtract,
 )
 
 from _reference_rle import (
@@ -165,63 +163,40 @@ class TestPixelSetOps:
             if a.any() or b.any():
                 assert (iou(a, b) == 1.0) == np.array_equal(a, b)
 
-    def test_precision_subset(self):
-        d = np.zeros((4, 4), dtype=bool)
-        d[1, 1] = True
-        m = np.ones((4, 4), dtype=bool)
-        assert precision_against(d, m) == 1.0
-
-    def test_precision_disjoint(self):
-        d = np.zeros((4, 4), dtype=bool)
-        d[0, 0] = True
-        m = np.zeros((4, 4), dtype=bool)
-        m[1, 1] = True
-        assert precision_against(d, m) == 0.0
-
-    def test_precision_hand_count(self):
-        d = np.zeros((2, 4), dtype=bool)
-        d[0, :] = True  # |d| = 4
-        m = np.zeros((2, 4), dtype=bool)
-        m[0, :3] = True  # overlap 3
-        assert precision_against(d, m) == 0.75
-
-    def test_precision_empty_detection(self):
-        z = np.zeros((3, 3), dtype=bool)
-        assert precision_against(z, np.ones((3, 3), dtype=bool)) == 0.0
-
-    def test_precision_lower_bounded_by_iou(self, rng):
-        for _ in range(50):
-            d = random_mask(rng, 10, 10)
-            m = random_mask(rng, 10, 10)
-            if d.any():
-                assert precision_against(d, m) >= iou(d, m)
-
-    def test_subtract_self_is_empty(self, rng):
-        m = random_mask(rng, 5, 5)
-        assert not subtract(m, m).any()
-
-    def test_subtract_empty_is_identity(self, rng):
-        m = random_mask(rng, 5, 5)
-        assert np.array_equal(subtract(m, np.zeros_like(m)), m)
-
-    def test_subtract_area_identity(self, rng):
-        for _ in range(50):
-            m = random_mask(rng, 9, 9)
-            d = random_mask(rng, 9, 9)
-            assert mask_area(subtract(m, d)) == mask_area(m) - mask_area(m & d)
-
-    def test_subtract_idempotent(self, rng):
-        m = random_mask(rng, 9, 9)
-        d = random_mask(rng, 9, 9)
-        once = subtract(m, d)
-        assert np.array_equal(subtract(once, d), once)
-
     def test_iou_matrix_matches_pairwise(self, rng):
         masks = [random_mask(rng, 7, 7) for _ in range(6)]
         mat = iou_matrix(masks, masks)
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+
+
+def random_masks(seed, n, height=64, width=64):
+    """n masks with a random fill each, from near-empty to near-full."""
+    rng = np.random.default_rng(seed)
+    density = rng.random((n, 1, 1))
+    return list(rng.random((n, height, width)) < density)
+
+
+class TestIouExactness:
+    """Dense IoU entries are exact, so any block of a larger matrix is
+    bit-equal to the same pairs computed on their own."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 9), st.data())
+    def test_block_equals_sub_list_matrix(self, seed, n_a, n_b, data):
+        a = random_masks((seed, 0), n_a)
+        b = random_masks((seed, 1), n_b)
+        i = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n_a, max_size=n_a)))
+        j = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n_b, max_size=n_b)))
+        alone = iou_matrix([a[k] for k in i], [b[k] for k in j])
+        assert np.array_equal(iou_matrix(a, b)[np.ix_(i, j)], alone)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 12))
+    def test_pairwise_equals_iou_matrix(self, seed, n):
+        masks = random_masks(seed, n)
+        assert np.array_equal(pairwise_iou(masks), iou_matrix(masks, list(masks)))
 
 
 class TestRasterizePolygon:

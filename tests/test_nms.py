@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgeval.coco import Detection, SemanticMaskSet
-from hedgeval.mask import encode, iou_matrix
+from hedgeval.mask import encode, iou, iou_matrix
 from hedgeval.nms import (
     NmsConfig,
     mask_nms,
@@ -120,6 +124,15 @@ class TestMatrixNms:
                 expected[order[rk]] = scores[order[rk]] * best
             assert got == pytest.approx(expected, abs=1e-9)
 
+    def test_linear_decay_of_exact_copies_is_zero_not_nan(self):
+        # the third copy's column holds 0/0 from the fully suppressed second
+        # copy and 0 from the first; the minimum is 0
+        m = box(8, 8, 2, 2, 4, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matrix_nms([m, m, m], [0.9, 0.8, 0.7], [1, 1, 1], decay="linear")
+        assert got.tolist() == [0.9, 0.0, 0.0]
+
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
         got = matrix_nms([m, m], [0.9, 0.8], [1, 2])
@@ -177,6 +190,32 @@ class TestSoftNms:
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
         assert soft_nms([m, m], [0.9, 0.8], [1, 2]) == pytest.approx([0.9, 0.8])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from(["gaussian", "linear"]),
+           st.floats(0.1, 0.9))
+    def test_matches_per_step_transcription(self, seed, n, decay, iou_thr):
+        rng = np.random.default_rng(seed)
+        masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
+        # an exact copy and one-decimal scores, so IoU 1 and ties both occur
+        masks[n // 2] = masks[0]
+        scores = np.round(rng.random(n), 1)
+        categories = rng.integers(1, 3, n).tolist()
+        got = soft_nms(masks, scores, categories, decay=decay, sigma=2.0, iou_thr=iou_thr)
+
+        expected = scores.copy()
+        for c in set(categories):
+            live = [i for i in range(n) if categories[i] == c]
+            while live:
+                top = max(live, key=lambda i: (expected[i], -i))
+                live.remove(top)
+                for i in live:
+                    o = iou(masks[top], masks[i])
+                    if decay == "gaussian":
+                        expected[i] *= np.exp(-(o**2) / 2.0)
+                    elif o >= iou_thr:
+                        expected[i] *= 1.0 - o
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestSemanticSort:
