@@ -207,7 +207,8 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
     """Produce one SemanticMaskSet per dataset image.
 
     ``source`` is a directory path (layout semantic/<image_id>/<category_id>.json,
-    one RLE object per file; absent files mean an empty mask), or one of the
+    one RLE object per file; absent files mean an empty mask, and a JSON file
+    named after no dataset category raises ``LoadError``), or one of the
     modes 'derive-from-gt' (union of GT masks per category) and
     'derive-from-dt' (union of detection masks per category with score >=
     conf_floor, requires ``detections``).
@@ -236,10 +237,14 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
         img_dir = root / str(image_id)
         if not img_dir.is_dir():
             raise LoadError(f"semantic mask directory missing image entry {img_dir}")
+        present = {fp.name for fp in img_dir.glob("*.json")}
+        stray = present - {f"{c}.json" for c in dataset.categories}
+        if stray:
+            raise LoadError(f"semantic mask {img_dir / min(stray)}: no such category in the dataset")
         masks: dict[int, np.ndarray] = {}
         for category_id in dataset.categories:
             fp = img_dir / f"{category_id}.json"
-            if not fp.exists():
+            if fp.name not in present:
                 continue
             with open(fp) as f:
                 seg = json.load(f)

@@ -16,6 +16,7 @@ the total number of ground truths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,25 @@ class DetectionGraph:
     def __len__(self) -> int:
         return len(self.confidences)
 
+    @cached_property
+    def connectivity(self) -> np.ndarray:
+        """``bottleneck_connectivity`` of this graph, computed on first use."""
+        return bottleneck_connectivity(self)
+
+    def at_floor(self, v: float) -> "DetectionGraph":
+        """Subgraph induced on the detections with confidence >= v.
+
+        Every vertex on a path whose bottleneck is >= v has confidence >= v,
+        so the subgraph's connectivity equals this graph's where that is
+        >= v and is 0 elsewhere: it is sliced from ``connectivity``, not
+        recomputed.
+        """
+        keep = np.flatnonzero(self.confidences >= v)
+        sub = DetectionGraph(self.confidences[keep], self.adjacency[np.ix_(keep, keep)])
+        c = self.connectivity[np.ix_(keep, keep)]
+        sub.connectivity = np.where(c >= v, c, 0.0)
+        return sub
+
 
 def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
     """All-pairs maximum-bottleneck connectivity over vertex confidences.
@@ -123,7 +143,7 @@ def dc_single(g: DetectionGraph) -> float:
     if m == 0:
         return 0.0
     taus = g.confidences
-    c = bottleneck_connectivity(g)
+    c = g.connectivity
     return float((c * taus[None, :] / taus[:, None]).sum() / m)
 
 
@@ -152,19 +172,16 @@ def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
     full pairwise IoU matrix of that cell's detection masks.
     """
     cfg = cfg or DcConfig()
-    groups = [(np.asarray(s, dtype=np.float64), np.asarray(m, dtype=np.float64)) for s, m in groups]
-    grid = [[0.0] * len(cfg.conf_thrs) for _ in cfg.iou_thrs]
-    cells = [[0] * len(cfg.conf_thrs) for _ in cfg.iou_thrs]
-    for vi, v in enumerate(cfg.conf_thrs):
-        filtered = []
-        for scores, ious in groups:
-            keep = np.flatnonzero(scores >= v)
-            if keep.size:
-                filtered.append((scores[keep], ious[np.ix_(keep, keep)]))
+    values = [[[] for _ in cfg.conf_thrs] for _ in cfg.iou_thrs]
+    for scores, ious in groups:
+        scores = np.asarray(scores, dtype=np.float64)
         for ti, t in enumerate(cfg.iou_thrs):
-            values = [dc_single(DetectionGraph.from_ious(s, m, t)) for s, m in filtered]
-            cells[ti][vi] = len(values)
-            grid[ti][vi] = float(np.mean(values)) if values else 0.0
+            g = DetectionGraph.from_ious(scores, ious, t)  # one spanning forest per t
+            for vi, v in enumerate(cfg.conf_thrs):
+                if (scores >= v).any():
+                    values[ti][vi].append(dc_single(g.at_floor(v)))
+    grid = [[float(np.mean(vals)) if vals else 0.0 for vals in row] for row in values]
+    cells = [[len(vals) for vals in row] for row in values]
     dc = float(np.mean([v for row in grid for v in row]))
     return DcResult(dc=dc, grid=grid, cells=cells, config=cfg)
 

@@ -153,37 +153,72 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def _flat_stack(masks) -> np.ndarray:
-    return np.stack([m.reshape(-1) for m in masks]).astype(np.float32)
+def _mask_table(masks):
+    """Bool masks of one shape, their half-open boxes (r0, r1, c0, c1) and
+    exact areas. An empty mask gets the empty box (0, 0, 0, 0), which
+    overlaps no box."""
+    masks = [_as_mask(m) for m in masks]
+    boxes = np.zeros((len(masks), 4), dtype=np.intp)
+    areas = np.zeros(len(masks), dtype=np.int64)
+    for k, m in enumerate(masks):
+        _check_same_shape(masks[0], m)
+        rows = np.flatnonzero(m.any(axis=1))
+        if rows.size:
+            cols = np.flatnonzero(m.any(axis=0))
+            r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+            boxes[k] = r0, r1, c0, c1
+            areas[k] = np.count_nonzero(m[r0:r1, c0:c1])
+    return masks, boxes, areas
 
 
-def _stack_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    inter = (a @ b.T).astype(np.float64)
-    union = a.sum(axis=1, dtype=np.float64)[:, None] + b.sum(axis=1, dtype=np.float64) - inter
-    with np.errstate(invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+def _intersections(ma, ba, mb, bb, upper=False) -> np.ndarray:
+    """Exact pixel counts |a∩b|, counted only on the overlap window of each
+    pair whose boxes overlap (only pairs i < j when ``upper``)."""
+    lo = np.maximum(ba[:, None, 0::2], bb[None, :, 0::2])  # (r0, c0) per pair
+    hi = np.minimum(ba[:, None, 1::2], bb[None, :, 1::2])  # (r1, c1) per pair
+    cand = (lo < hi).all(axis=2)
+    if upper:
+        cand = np.triu(cand, k=1)
+    inter = np.zeros(cand.shape, dtype=np.int64)
+    ii, jj = np.nonzero(cand)
+    wins = np.concatenate((lo[ii, jj], hi[ii, jj]), axis=1).tolist()
+    for i, j, (r0, c0, r1, c1) in zip(ii.tolist(), jj.tolist(), wins):
+        inter[i, j] = np.count_nonzero(ma[i][r0:r1, c0:c1] & mb[j][r0:r1, c0:c1])
+    return inter
+
+
+def _iou_from_counts(inter, area_a, area_b) -> np.ndarray:
+    union = (area_a[:, None] + area_b[None, :] - inter).astype(np.float64)
+    return np.divide(inter.astype(np.float64), union,
+                     out=np.zeros(union.shape), where=union > 0)
 
 
 def iou_matrix(masks_a, masks_b) -> np.ndarray:
     """Pairwise IoU between two mask sequences, shape (len_a, len_b).
 
-    Flattens masks into a matrix and uses a single matmul for intersections.
-    Exact while each mask has fewer than 2**24 pixels (H*W < 2**24): float32
-    then holds every partial pixel count exactly under any BLAS blocking, so
-    each entry is bit-equal to the same pair computed on its own.
+    Intersections are exact integer pixel counts at any mask size. Only
+    pairs whose bounding boxes overlap are counted, each on the overlap
+    window of the two boxes, so the work is proportional to the number of
+    box-overlapping pairs times their window area, and no per-pixel array
+    beyond the masks themselves is built. Every entry is bit-equal to
+    ``iou`` of the same pair. Raises ``ValueError`` when the masks differ
+    in shape.
     """
-    if len(masks_a) == 0 or len(masks_b) == 0:
-        return np.zeros((len(masks_a), len(masks_b)))
-    return _stack_iou(_flat_stack(masks_a), _flat_stack(masks_b))
+    ma, ba, aa = _mask_table(masks_a)
+    mb, bb, ab = _mask_table(masks_b)
+    if ma and mb:
+        _check_same_shape(ma[0], mb[0])
+    return _iou_from_counts(_intersections(ma, ba, mb, bb), aa, ab)
 
 
 def pairwise_iou(masks) -> np.ndarray:
     """Symmetric IoU matrix of one mask sequence against itself; bit-equal to
-    ``iou_matrix(masks, masks)`` but stacks the masks once."""
-    if len(masks) == 0:
-        return np.zeros((0, 0))
-    a = _flat_stack(masks)
-    return _stack_iou(a, a)
+    ``iou_matrix(masks, masks)`` but counts each unordered pair once."""
+    m, boxes, areas = _mask_table(masks)
+    inter = _intersections(m, boxes, m, boxes, upper=True)
+    inter += inter.T
+    inter[np.diag_indices_from(inter)] = areas
+    return _iou_from_counts(inter, areas, areas)
 
 
 def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:

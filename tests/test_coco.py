@@ -263,6 +263,14 @@ class TestSemanticMasks:
         # all-zero masks are stored as absence
         assert 2 not in got[1].masks
 
+    def test_directory_rejects_unknown_category_file(self, tmp_path, gt_file):
+        ds = load_ground_truth(gt_file([]))
+        img_dir = tmp_path / "semantic" / "1"
+        img_dir.mkdir(parents=True)
+        (img_dir / "99.json").write_text(json.dumps(seg_of(block(8, 8, 0, 0, 2, 2))))
+        with pytest.raises(LoadError, match=r"semantic/1/99\.json"):
+            load_semantic_masks(tmp_path / "semantic", ds)
+
     def test_directory_missing_image_entry(self, tmp_path, gt_file):
         ds = load_ground_truth(gt_file([]))
         out = tmp_path / "semantic"

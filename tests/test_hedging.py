@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgeval.hedging import (
+    DEFAULT_DC_CONF_THRS,
     DcConfig,
     DetectionGraph,
     bottleneck_connectivity,
@@ -97,6 +100,25 @@ class TestBottleneckConnectivity:
             got = bottleneck_connectivity(g)
             ref = bottleneck_bruteforce(g)
             assert np.abs(got - ref).max() <= 1e-9 if len(g) else got.size == 0
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(DEFAULT_DC_CONF_THRS) | st.floats(0.05, 1.0),
+                 min_size=m, max_size=m),
+        st.lists(st.booleans(), min_size=m * m, max_size=m * m))))
+    def test_at_floor_equals_induced_subgraph(self, drawn):
+        taus, edges = drawn
+        m = len(taus)
+        adj = np.triu(np.array(edges, dtype=bool).reshape(m, m), k=1)
+        g = DetectionGraph(taus, adj | adj.T)
+        for v in DEFAULT_DC_CONF_THRS:
+            keep = np.flatnonzero(g.confidences >= v)
+            fresh = DetectionGraph(g.confidences[keep], g.adjacency[np.ix_(keep, keep)])
+            sub = g.at_floor(v)
+            assert np.array_equal(sub.confidences, fresh.confidences)
+            assert np.array_equal(sub.adjacency, fresh.adjacency)
+            assert np.array_equal(sub.connectivity, bottleneck_connectivity(fresh))
 
 
 class TestDcSingle:

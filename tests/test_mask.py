@@ -179,8 +179,8 @@ def random_masks(seed, n, height=64, width=64):
 
 
 class TestIouExactness:
-    """Dense IoU entries are exact, so any block of a larger matrix is
-    bit-equal to the same pairs computed on their own."""
+    """IoU entries are exact, so any block of a larger matrix is bit-equal
+    to the same pairs computed on their own."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 9), st.data())
@@ -197,6 +197,64 @@ class TestIouExactness:
     def test_pairwise_equals_iou_matrix(self, seed, n):
         masks = random_masks(seed, n)
         assert np.array_equal(pairwise_iou(masks), iou_matrix(masks, list(masks)))
+
+
+@st.composite
+def local_masks(draw, shape, max_n=8):
+    """Up to max_n masks of one shape, each empty, a filled rectangle or a
+    random blob inside a rectangle at a random offset, so boxes are disjoint,
+    edge-touching, overlapping or nested."""
+    h, w = shape
+    out = []
+    for _ in range(draw(st.integers(0, max_n))):
+        r0 = draw(st.integers(0, h))
+        r1 = draw(st.integers(r0, h))
+        c0 = draw(st.integers(0, w))
+        c1 = draw(st.integers(c0, w))
+        m = np.zeros(shape, dtype=bool)
+        if draw(st.booleans()):
+            m[r0:r1, c0:c1] = True
+        else:
+            blob = np.random.default_rng(draw(st.integers(0, 2**32)))
+            m[r0:r1, c0:c1] = blob.random((r1 - r0, c1 - c0)) < 0.5
+        out.append(m)
+    return out
+
+
+class TestSparseIou:
+    """The box-pruned kernel against ``iou`` of each pair on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+        lambda shape: st.tuples(local_masks(shape), local_masks(shape))))
+    def test_entries_equal_single_pair_iou(self, masks):
+        a, b = masks
+        mat = iou_matrix(a, b)
+        pair = pairwise_iou(a)
+        assert mat.shape == (len(a), len(b))
+        assert np.array_equal(pair, pair.T)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert mat[i, j] == iou(x, y)
+            for j, y in enumerate(a):
+                assert pair[i, j] == iou(x, y)
+
+    def test_exact_beyond_float32_counts(self):
+        h = w = 4100  # h*w > 2**24: a float32 pixel count would round
+        full = np.ones((h, w), dtype=bool)
+        holed = full.copy()
+        holed[h // 2, w // 2] = False
+        want = (h * w - 1) / (h * w)
+        assert iou_matrix([full], [holed])[0, 0] == want
+        assert pairwise_iou([full, holed])[0, 1] == want
+
+    @pytest.mark.parametrize("other", [(3, 2), (2, 4)])
+    def test_shape_mismatch_raises(self, other):
+        a, b = np.ones((2, 3), dtype=bool), np.ones(other, dtype=bool)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            iou_matrix([a], [b])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pairwise_iou([a, b])
 
 
 class TestRasterizePolygon:
