@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .mask import MalformedRleError, RleMask, decode, decompress_leb, encode, rasterize_polygon
+from .mask import (
+    MalformedRleError,
+    RleMask,
+    decode,
+    decompress_leb,
+    encode,
+    leb_counts,
+    rasterize_polygon,
+)
 
 DERIVE_FROM_GT = "derive-from-gt"
 DERIVE_FROM_DT = "derive-from-dt"
@@ -85,69 +93,100 @@ class DetectionLoadResult:
 
 
 def _require(record: dict, keys, what: str):
+    if not isinstance(record, dict):
+        raise LoadError(f"{what} must be a JSON object, got {type(record).__name__}")
     for k in keys:
         if k not in record:
             raise LoadError(f"{what} is missing required field '{k}'")
 
 
-def decode_segmentation(seg, height: int, width: int) -> RleMask:
-    """Accept compressed RLE, raw-counts RLE, or a polygon list."""
+def _integer(value, name: str) -> int:
+    """An integer JSON field: ints and integral floats pass; a bool or a
+    fractional number raises ``LoadError`` naming the field."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise LoadError(f"field '{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_segmentation(seg, height: int, width: int):
+    """Check a segmentation's fields without decoding it. Returns the counts
+    string of compressed RLE, the run lengths of raw-counts RLE as a tuple,
+    or the polygon list."""
     if isinstance(seg, dict):
         _require(seg, ("size", "counts"), "segmentation object")
-        h, w = (int(v) for v in seg["size"])
+        h, w = (_integer(v, "segmentation.size") for v in seg["size"])
         if (h, w) != (height, width):
             raise LoadError(f"segmentation size {h}x{w} does not match image {height}x{width}")
         if isinstance(seg["counts"], str):
-            return decompress_leb(seg["counts"], h, w)
-        return RleMask(h, w, tuple(int(c) for c in seg["counts"]))
+            return seg["counts"]
+        return tuple(_integer(c, "segmentation.counts") for c in seg["counts"])
     if isinstance(seg, list):
         if not seg or not all(isinstance(p, list) for p in seg):
             raise LoadError("polygon segmentation must be a non-empty list of coordinate lists")
-        dense = np.zeros((height, width), dtype=bool)
-        for poly in seg:
-            dense |= rasterize_polygon(poly, height, width)
-        return encode(dense)
+        return seg
     raise LoadError(f"unsupported segmentation of type {type(seg).__name__}")
 
 
+def _segmentation_mask(source, height: int, width: int, leb) -> RleMask:
+    """The mask of a checked segmentation; a counts string's run lengths
+    are the next item of ``leb``, a ``leb_counts`` iterator."""
+    if isinstance(source, str):
+        return RleMask(height, width, next(leb))
+    if isinstance(source, tuple):
+        return RleMask(height, width, source)
+    dense = np.zeros((height, width), dtype=bool)
+    for poly in source:
+        dense |= rasterize_polygon(poly, height, width)
+    return encode(dense)
+
+
+def decode_segmentation(seg, height: int, width: int) -> RleMask:
+    """Accept compressed RLE, raw-counts RLE, or a polygon list."""
+    source = _check_segmentation(seg, height, width)
+    if isinstance(source, str):
+        return decompress_leb(source, height, width)
+    return _segmentation_mask(source, height, width, None)
+
+
 def load_ground_truth(path) -> Dataset:
-    """Read a COCO annotation file into the validated domain model."""
+    """Read a COCO annotation file into the validated domain model.
+
+    Annotations are checked field by field first, then their masks are
+    built with the counts strings decoded in batches; errors still name the
+    first faulty annotation in file order.
+    """
     with open(path) as f:
         raw = json.load(f)
     _require(raw, ("images", "annotations", "categories"), f"annotation file {path}")
 
     images: dict[int, ImageInfo] = {}
-    for rec in raw["images"]:
+    for k, rec in enumerate(raw["images"]):
         _require(rec, ("id", "height", "width"), "image record")
-        info = ImageInfo(int(rec["id"]), int(rec["height"]), int(rec["width"]))
+        info = ImageInfo(*(_integer(rec[f], f"images[{k}].{f}") for f in ("id", "height", "width")))
         if info.id in images:
             raise LoadError(f"images: duplicate id {info.id}")
         images[info.id] = info
     categories: dict[int, CategoryInfo] = {}
-    for rec in raw["categories"]:
+    for k, rec in enumerate(raw["categories"]):
         _require(rec, ("id", "name"), "category record")
-        cat = CategoryInfo(int(rec["id"]), str(rec["name"]))
+        cat = CategoryInfo(_integer(rec["id"], f"categories[{k}].id"), str(rec["name"]))
         if cat.id in categories:
             raise LoadError(f"categories: duplicate id {cat.id}")
         categories[cat.id] = cat
 
+    checked, field_error = [], None
+    try:
+        for rec in raw["annotations"]:
+            checked.append(_check_annotation(rec, images, categories))
+    except LoadError as e:
+        field_error = e
+    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
     gts_by_image: dict[int, list[GroundTruthInstance]] = {i: [] for i in images}
     ann_ids: set[int] = set()
-    for rec in raw["annotations"]:
-        _require(rec, ("id", "image_id", "category_id", "segmentation"), "annotation")
-        ann_id = rec["id"]
+    for ann_id, instance_id, image_id, category_id, source in checked:
+        img = images[image_id]
         try:
-            instance_id = int(ann_id)
-            if int(rec.get("iscrowd", 0)):
-                raise LoadError("iscrowd annotations are not supported")
-            image_id = int(rec["image_id"])
-            category_id = int(rec["category_id"])
-            if image_id not in images:
-                raise LoadError(f"references unknown image {image_id}")
-            if category_id not in categories:
-                raise LoadError(f"references unknown category {category_id}")
-            img = images[image_id]
-            mask = decode_segmentation(rec["segmentation"], img.height, img.width)
+            mask = _segmentation_mask(source, img.height, img.width, leb)
             if mask.area == 0:
                 raise LoadError("mask is empty")
         except (LoadError, MalformedRleError, ValueError) as e:
@@ -158,28 +197,54 @@ def load_ground_truth(path) -> Dataset:
         gts_by_image[image_id].append(
             GroundTruthInstance(image_id, instance_id, category_id, mask)
         )
+    if field_error is not None:
+        raise field_error
     return Dataset(images, categories, gts_by_image)
 
 
+def _check_annotation(rec, images, categories):
+    _require(rec, ("id", "image_id", "category_id", "segmentation"), "annotation")
+    ann_id = rec["id"]
+    try:
+        instance_id = _integer(ann_id, "id")
+        if int(rec.get("iscrowd", 0)):
+            raise LoadError("iscrowd annotations are not supported")
+        image_id = _integer(rec["image_id"], "image_id")
+        category_id = _integer(rec["category_id"], "category_id")
+        if image_id not in images:
+            raise LoadError(f"references unknown image {image_id}")
+        if category_id not in categories:
+            raise LoadError(f"references unknown category {category_id}")
+        img = images[image_id]
+        source = _check_segmentation(rec["segmentation"], img.height, img.width)
+    except (LoadError, MalformedRleError, ValueError) as e:
+        raise LoadError(f"annotation {ann_id}: {e}") from e
+    return ann_id, instance_id, image_id, category_id, source
+
+
 def load_detections(path, dataset: Dataset) -> DetectionLoadResult:
-    """Read a COCO results array, validating against the dataset tables."""
+    """Read a COCO results array, validating against the dataset tables.
+
+    Records are checked field by field first, then their masks are built
+    with the counts strings decoded in batches; errors still name the first
+    faulty record in file order.
+    """
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, list):
         raise LoadError(f"detection file {path} must hold a JSON array")
+    checked, field_error = [], None
+    try:
+        for idx, rec in enumerate(raw):
+            checked.append(_check_detection(idx, rec, dataset))
+    except LoadError as e:
+        field_error = e
+    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
     out = DetectionLoadResult({i: [] for i in dataset.images})
-    for idx, rec in enumerate(raw):
-        _require(rec, ("image_id", "category_id", "score", "segmentation"), f"detection {idx}")
+    for idx, image_id, category_id, score, source in checked:
+        img = dataset.images[image_id]
         try:
-            image_id = int(rec["image_id"])
-            category_id = int(rec["category_id"])
-            if image_id not in dataset.images:
-                raise LoadError(f"references unknown image {image_id}")
-            if category_id not in dataset.categories:
-                raise LoadError(f"references unknown category {category_id}")
-            score = float(rec["score"])
-            img = dataset.images[image_id]
-            mask = decode_segmentation(rec["segmentation"], img.height, img.width)
+            mask = _segmentation_mask(source, img.height, img.width, leb)
         except (LoadError, MalformedRleError, ValueError) as e:
             raise LoadError(f"detection {idx}: {e}") from e
         if not 0.0 <= score <= 1.0:
@@ -189,13 +254,33 @@ def load_detections(path, dataset: Dataset) -> DetectionLoadResult:
             out.rejected_empty_mask += 1
             continue
         out.by_image[image_id].append(Detection(image_id, category_id, score, mask))
+    if field_error is not None:
+        raise field_error
     return out
+
+
+def _check_detection(idx: int, rec, dataset: Dataset):
+    _require(rec, ("image_id", "category_id", "score", "segmentation"), f"detection {idx}")
+    try:
+        image_id = _integer(rec["image_id"], "image_id")
+        category_id = _integer(rec["category_id"], "category_id")
+        if image_id not in dataset.images:
+            raise LoadError(f"references unknown image {image_id}")
+        if category_id not in dataset.categories:
+            raise LoadError(f"references unknown category {category_id}")
+        score = float(rec["score"])
+        img = dataset.images[image_id]
+        source = _check_segmentation(rec["segmentation"], img.height, img.width)
+    except (LoadError, MalformedRleError, ValueError) as e:
+        raise LoadError(f"detection {idx}: {e}") from e
+    return idx, image_id, category_id, score, source
 
 
 def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
     masks: dict[int, np.ndarray] = {}
     for category_id, rles in groups.items():
-        dense = np.zeros((image.height, image.width), dtype=bool)
+        # column-major, like the decoded masks it is compared with
+        dense = np.zeros((image.height, image.width), dtype=bool, order="F")
         for r in rles:
             dense |= decode(r)
         masks[category_id] = dense

@@ -14,7 +14,12 @@ import numpy as np
 
 
 class MalformedRleError(ValueError):
-    """Raised when an RLE payload cannot describe a valid mask."""
+    """Raised when an RLE payload cannot describe a valid mask. ``index``
+    names the faulty string of a ``leb_counts`` batch."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 def _as_mask(a: np.ndarray) -> np.ndarray:
@@ -39,9 +44,9 @@ class RleMask:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise MalformedRleError(f"invalid mask size {self.height}x{self.width}")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
+        if counts and min(counts) < 0:
             raise MalformedRleError(f"negative run length in {counts}")
         total = sum(counts)
         if total != self.height * self.width:
@@ -110,33 +115,124 @@ def compress_leb(rle: RleMask) -> str:
     return "".join(out)
 
 
-def decompress_leb(s: str, height: int, width: int) -> RleMask:
-    """Decompress a COCO counts string (inverse of compress_leb)."""
+_LEB_CHUNK = 1 << 12  # characters per numpy pass; its int64 temporaries stay at 32 KiB
+_LEB_MAX_GROUPS = 12  # 60 bits: no valid mask below 2**59 pixels needs more
+
+
+def leb_counts(strings):
+    """Decode COCO counts strings (the inverse of ``compress_leb``).
+
+    Yields one list of run lengths per string, in order. The strings are
+    decoded in numpy, about ``_LEB_CHUNK`` characters at a time; a value
+    ends at a group without the continuation bit and always at a string's
+    last character, so no value straddles two strings. A malformed string
+    raises ``MalformedRleError`` with ``index`` naming it, after every
+    string before it has been yielded, and with the message of
+    ``oracles.decompress_leb_naive`` for the fault at its earliest character
+    position. The one fault the per-character loop lacks is a value of more
+    than ``_LEB_MAX_GROUPS`` groups.
+    """
+    chunk: list[str] = []
+    size = offset = 0
+    for s in strings:
+        chunk.append(s)
+        size += len(s)
+        if size >= _LEB_CHUNK:
+            yield from _leb_chunk(chunk, offset)
+            offset += len(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield from _leb_chunk(chunk, offset)
+
+
+def _leb_chunk(strings: list[str], offset: int):
+    """Yield the run lengths of one chunk's strings; ``offset`` is the batch
+    index of its first string."""
+    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    if not lengths.any():
+        for _ in strings:
+            yield []
+        return
+    text = "".join(strings).encode("utf-32-le", "surrogatepass")
+    groups = np.frombuffer(text, dtype="<u4").astype(np.int64) - _LEB_CHAR_LO
+    bad = (groups < 0) | (groups > _LEB_CHAR_HI - _LEB_CHAR_LO)
+    groups[bad] = 0  # ends its value; the string faults there anyway
+    more = (groups & 0x20) != 0
+    str_end = np.cumsum(lengths)  # exclusive end of each string
+    last = str_end[lengths > 0] - 1
+    value_end = ~more
+    value_end[last] = True
+    ends = np.flatnonzero(value_end)  # last character of each value
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    sizes = ends - starts + 1
+    # shift-accumulate the 5-bit payloads, low groups first; a value of
+    # more than _LEB_MAX_GROUPS groups faults, so clipping its shift is safe
+    shift = 5 * np.minimum(np.arange(groups.size) - np.repeat(starts, sizes), _LEB_MAX_GROUPS - 1)
+    values = np.add.reduceat((groups & 0x1F) << shift, starts)
+    sign = (groups[ends] & 0x10) != 0  # sign-extend from the last group
+    values -= np.where(sign, np.int64(1) << (5 * np.minimum(sizes, _LEB_MAX_GROUPS)), 0)
+    # undo the stride-2 delta (from count 3 on) with one cumsum per parity,
+    # segmented by string; int64 wrap-around cancels in the differences
+    cut = np.searchsorted(ends, str_end)  # values up to each string's end
+    first = np.concatenate(([0], cut[:-1]))
+    base = np.repeat(first, cut - first)
+    j = np.arange(values.size) - base  # index of each value in its string
+    odd = (j & 1) == 1
+    even = ~odd & (j >= 2)
+    odd_sum = np.cumsum(np.where(odd, values, 0))
+    even_sum = np.cumsum(np.where(even, values, 0))
+    counts = np.where(odd, odd_sum - odd_sum[base],
+                      np.where(even, even_sum - even_sum[base], values))
+    # a negative count is a fault or an int64 overflow; both go to _leb_exact
+    flagged = np.concatenate((np.flatnonzero(bad), last[more[last]],
+                              ends[(sizes > _LEB_MAX_GROUPS) | (counts < 0)]))
+    suspect = np.zeros(len(strings), dtype=bool)
+    suspect[np.searchsorted(str_end, flagged, side="right")] = True
+    flat = counts.tolist()
+    bounds = np.stack((first, cut), axis=1).tolist()
+    done = 0
+    for k in np.flatnonzero(suspect).tolist():
+        for a, b in bounds[done:k]:
+            yield flat[a:b]
+        a, b = bounds[k]
+        s0 = int(str_end[k] - lengths[k])
+        yield _leb_exact(strings[k], values[a:b].tolist(), (starts[a:b] - s0).tolist(),
+                         sizes[a:b].tolist(), (~more[ends[a:b]] & ~bad[ends[a:b]]).tolist(),
+                         np.flatnonzero(bad[s0:str_end[k]]), offset + k)
+        done = k + 1
+    for a, b in bounds[done:]:
+        yield flat[a:b]
+
+
+def _leb_exact(s: str, values, starts, sizes, complete, bad_at, index: int) -> list[int]:
+    """Run lengths of one string the vectorised pass flagged, accumulated in
+    Python integers, or its first fault by character position. ``values``
+    are the string's raw values, ``starts`` and ``sizes`` their character
+    spans, ``complete`` whether each ends on a valid final group, and
+    ``bad_at`` the positions of out-of-range characters."""
+    stop = int(bad_at[0]) if bad_at.size else len(s)
     counts: list[int] = []
-    i, n = 0, len(s)
-    while i < n:
-        x = 0
-        k = 0
-        group = 0
-        more = True
-        while more:
-            if i >= n:
-                raise MalformedRleError(f"truncated counts string of length {n}")
-            group = ord(s[i]) - _LEB_CHAR_LO
-            if not 0 <= group <= _LEB_CHAR_HI - _LEB_CHAR_LO:
-                raise MalformedRleError(f"counts character {s[i]!r} at position {i} out of range")
-            x |= (group & 0x1F) << (5 * k)
-            more = bool(group & 0x20)
-            i += 1
-            k += 1
-        if group & 0x10:  # sign-extend from the last emitted group
-            x |= -1 << (5 * k)
+    for x, start, size, whole in zip(values, starts, sizes, complete):
+        if size > _LEB_MAX_GROUPS and start + _LEB_MAX_GROUPS < stop:
+            raise MalformedRleError(
+                f"counts value at position {start} has more than {_LEB_MAX_GROUPS} groups", index)
+        if not whole:
+            break
         if len(counts) > 2:
             x += counts[-2]
         if x < 0:
-            raise MalformedRleError(f"negative run length {x} at count {len(counts)}")
+            raise MalformedRleError(f"negative run length {x} at count {len(counts)}", index)
         counts.append(x)
-    return RleMask(height, width, tuple(counts))
+    if stop < len(s):
+        raise MalformedRleError(f"counts character {s[stop]!r} at position {stop} out of range", index)
+    if len(counts) < len(values):
+        raise MalformedRleError(f"truncated counts string of length {len(s)}", index)
+    return counts
+
+
+def decompress_leb(s: str, height: int, width: int) -> RleMask:
+    """Decompress one COCO counts string (inverse of compress_leb)."""
+    return RleMask(height, width, next(leb_counts([s])))
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray):

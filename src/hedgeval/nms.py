@@ -137,6 +137,33 @@ def soft_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 
     return out
 
 
+def _memory_order(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``a`` flattened in its own memory order, a view unless ``a`` is not
+    contiguous (then a C-order copy), and whether that order is
+    column-major."""
+    fortran = a.flags.f_contiguous and not a.flags.c_contiguous
+    return a.ravel(order="F" if fortran else "C"), fortran
+
+
+def _pixels(mask: np.ndarray, shape, fortran: bool) -> np.ndarray:
+    """Flat positions of the mask's pixels in a budget of ``shape`` and the
+    given layout: one scan of the mask's own memory, with positions
+    converted only when the two layouts differ."""
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} differs from semantic mask shape {shape}")
+    flat, mask_fortran = _memory_order(mask)
+    idx = np.flatnonzero(flat)
+    if mask_fortran != fortran:
+        h, w = shape
+        if mask_fortran:
+            col, row = np.divmod(idx, h)
+            idx = row * w + col
+        else:
+            row, col = np.divmod(idx, w)
+            idx = row + col * h
+    return idx
+
+
 def semantic_sort(masks, scores, categories, semantic: dict[int, np.ndarray]):
     """Rescore by agreement with the per-category semantic masks and reorder.
 
@@ -144,22 +171,24 @@ def semantic_sort(masks, scores, categories, semantic: dict[int, np.ndarray]):
     high precision rewards detections inside their class region, low IoU
     penalises ones pretending to be the whole region. Returns (order,
     combined) with ties broken by original tau, then ingestion order. A
-    category with no semantic mask counts as an empty mask.
+    category with no semantic mask counts as an empty mask. Each detection
+    touches only its own pixels of the semantic mask.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
+    regions = {c: (*_memory_order(m), m.shape, np.count_nonzero(m)) for c, m in semantic.items()}
     combined = np.empty(n)
     for k in range(n):
-        m = masks[k]
-        sem = semantic.get(categories[k])
-        area = np.count_nonzero(m)
-        if sem is None or area == 0:
-            pr, iou = 0.0, 0.0
-        else:
-            inter = np.count_nonzero(m & sem)
-            pr = inter / area
-            union = area + np.count_nonzero(sem) - inter
-            iou = inter / union if union else 0.0
+        region = regions.get(categories[k])
+        pr, iou = 0.0, 0.0
+        if region is not None:
+            flat, fortran, shape, sem_area = region
+            idx = _pixels(masks[k], shape, fortran)
+            if idx.size:
+                inter = np.count_nonzero(flat[idx])
+                pr = inter / idx.size
+                union = idx.size + sem_area - inter
+                iou = inter / union if union else 0.0
         combined[k] = scores[k] + pr + (1.0 - iou)
     order = np.lexsort((np.arange(n), -scores, -combined))
     return order, combined
@@ -168,24 +197,28 @@ def semantic_sort(masks, scores, categories, semantic: dict[int, np.ndarray]):
 def semantic_nms(masks, categories, semantic: dict[int, np.ndarray], thr: float = 0.5) -> list[bool]:
     """Single-pass occupancy suppression over pre-sorted detections.
 
-    ``semantic`` is the working budget and is consumed in place; pass
-    copies if the originals matter. Returns per-detection keep flags in the
-    given order. No detection is ever compared against another one.
+    ``semantic`` is the working budget and is consumed in place, in either
+    memory layout; pass copies if the originals matter. Returns
+    per-detection keep flags in the given order. No detection is ever
+    compared against another one, and each touches only its own pixels.
     """
-    flat: dict[int, np.ndarray] = {c: m.reshape(-1) for c, m in semantic.items()}
+    budgets = {c: (*_memory_order(m), m.shape) for c, m in semantic.items()}
     keep: list[bool] = []
     for k, m in enumerate(masks):
-        budget = flat.get(categories[k])
-        idx = np.flatnonzero(m.reshape(-1))
-        if budget is None or idx.size == 0:
+        entry = budgets.get(categories[k])
+        if entry is None:
             keep.append(False)
             continue
-        overlap = np.count_nonzero(budget[idx]) / idx.size
-        if overlap >= thr:
+        budget, fortran, shape = entry
+        idx = _pixels(m, shape, fortran)
+        if idx.size and np.count_nonzero(budget[idx]) / idx.size >= thr:
             keep.append(True)
             budget[idx] = False
         else:
             keep.append(False)
+    for c, (budget, _, shape) in budgets.items():
+        if not np.may_share_memory(budget, semantic[c]):  # a non-contiguous budget's copy
+            semantic[c][...] = budget.reshape(shape)
     return keep
 
 
@@ -194,7 +227,7 @@ def _semantic_pass(dets: list[Detection], sem_set: SemanticMaskSet, cfg: NmsConf
     scores = [d.score for d in dets]
     categories = [d.category_id for d in dets]
     order, combined = semantic_sort(masks, scores, categories, sem_set.masks)
-    working = {c: m.copy() for c, m in sem_set.masks.items()}
+    working = {c: m.copy(order="K") for c, m in sem_set.masks.items()}
     ordered_masks = [masks[i] for i in order]
     ordered_cats = [categories[i] for i in order]
     keep = semantic_nms(ordered_masks, ordered_cats, working, cfg.occupancy_thr)

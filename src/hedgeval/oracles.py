@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hedging import DetectionGraph
+from .mask import MalformedRleError
 from .matching import MatchResult
 
 
@@ -115,3 +116,40 @@ def match_bruteforce(det_masks, det_scores, gt_masks, iou_thr: float) -> MatchRe
             det_iou[d] = best_iou
             gt_to_det[best_gt] = d
     return MatchResult(det_to_gt, det_iou, gt_to_det)
+
+
+def decompress_leb_naive(s: str) -> list[int]:
+    """Run lengths of a COCO counts string, one character at a time.
+
+    Each character less 48 is a 6-bit group: five payload bits, low groups
+    first, and bit 5 set when the value continues. A value is sign-extended
+    from bit 4 of its last group, and from count 3 on it is a delta against
+    the count two positions earlier. The first fault by character position
+    raises ``MalformedRleError``; the value cut off by a truncation is
+    never sign-checked.
+    """
+    counts: list[int] = []
+    i, n = 0, len(s)
+    while i < n:
+        x = 0
+        k = 0
+        group = 0
+        more = True
+        while more:
+            if i >= n:
+                raise MalformedRleError(f"truncated counts string of length {n}")
+            group = ord(s[i]) - 48
+            if not 0 <= group <= 63:
+                raise MalformedRleError(f"counts character {s[i]!r} at position {i} out of range")
+            x |= (group & 0x1F) << (5 * k)
+            more = bool(group & 0x20)
+            i += 1
+            k += 1
+        if group & 0x10:  # sign-extend from the last emitted group
+            x |= -1 << (5 * k)
+        if len(counts) > 2:
+            x += counts[-2]
+        if x < 0:
+            raise MalformedRleError(f"negative run length {x} at count {len(counts)}")
+        counts.append(x)
+    return counts

@@ -139,6 +139,54 @@ class TestLoadGroundTruth:
         with pytest.raises(LoadError, match=f"{table}: duplicate id 1$"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("field, value", [("id", 1.7), ("height", 8.5), ("width", True)])
+    def test_image_fields_must_be_integers(self, gt_file, field, value):
+        image = {"id": 1, "height": 8, "width": 8, field: value}
+        with pytest.raises(LoadError, match=rf"'images\[0\]\.{field}' must be an integer, got {value}"):
+            load_ground_truth(gt_file([], images=[image]))
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_category_id_must_be_an_integer(self, gt_file, value):
+        with pytest.raises(LoadError, match=rf"'categories\[0\]\.id' must be an integer, got {value}"):
+            load_ground_truth(gt_file([], categories=[{"id": value, "name": "a"}]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 2.9), ("image_id", 1.7), ("category_id", True),
+        ("segmentation.size", [8.0, 8.5]),
+        ("segmentation.counts", [5.9, 4, 55]), ("segmentation.counts", [True, 4, 59]),
+    ])
+    def test_annotation_fields_must_be_integers(self, gt_file, field, value):
+        ann = {"id": 2, "image_id": 1, "category_id": 1,
+               "segmentation": {"size": [8, 8], "counts": [10, 4, 50]}}
+        if field.startswith("segmentation."):
+            ann["segmentation"][field.split(".")[1]] = value
+        else:
+            ann[field] = value
+        with pytest.raises(LoadError, match=rf"^annotation .*: field '{field}' must be an integer"):
+            load_ground_truth(gt_file([ann]))
+
+    def test_integral_floats_load(self, gt_file):
+        ann = {"id": 2.0, "image_id": 1.0, "category_id": 1.0,
+               "segmentation": {"size": [8.0, 8.0], "counts": [10.0, 4, 50]}}
+        ds = load_ground_truth(gt_file([ann], images=[{"id": 1.0, "height": 8.0, "width": 8}],
+                                       categories=[{"id": 1.0, "name": "a"}]))
+        gt = ds.gts_by_image[1][0]
+        assert (gt.instance_id, gt.category_id, gt.mask.counts) == (2, 1, (10, 4, 50))
+
+    def test_first_faulty_annotation_in_file_order(self, gt_file):
+        good = seg_of(block(8, 8, 0, 0, 2, 2))
+        anns = [{"id": 1, "image_id": 1, "category_id": 1, "segmentation": good},
+                {"id": 2, "image_id": 1, "category_id": 1,
+                 "segmentation": {"size": [8, 8], "counts": "1!"}},
+                {"id": 3, "image_id": 1, "category_id": 9, "segmentation": good}]
+        with pytest.raises(LoadError, match="annotation 2: counts character '!'"):
+            load_ground_truth(gt_file(anns))
+        # a mask error before a duplicate id, and a duplicate id before a
+        # later record's field error
+        anns[1] = {"id": 1, "image_id": 1, "category_id": 1, "segmentation": good}
+        with pytest.raises(LoadError, match="annotations: duplicate id 1$"):
+            load_ground_truth(gt_file(anns))
+
     def test_write_read_write_stable(self, tmp_path, rng):
         images = [{"id": i, "height": 10, "width": 12} for i in (1, 2)]
         cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
@@ -208,6 +256,39 @@ class TestLoadDetections:
                  "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}]
         with pytest.raises(LoadError, match="detection 0.*unknown image"):
             load_detections(self.write_dt(tmp_path, recs), small_dataset)
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_id", 1.9), ("category_id", True),
+        ("segmentation.size", [8, True]), ("segmentation.counts", [5.9, 4, 55]),
+    ])
+    def test_fields_must_be_integers(self, tmp_path, small_dataset, field, value):
+        def record():
+            return {"image_id": 1, "category_id": 1, "score": 0.5,
+                    "segmentation": {"size": [8, 8], "counts": [10, 4, 50]}}
+        rec = record()
+        if field.startswith("segmentation."):
+            rec["segmentation"][field.split(".")[1]] = value
+        else:
+            rec[field] = value
+        with pytest.raises(LoadError, match=rf"^detection 1: field '{field}' must be an integer"):
+            load_detections(self.write_dt(tmp_path, [record(), rec]), small_dataset)
+
+    def test_first_faulty_record_in_file_order(self, tmp_path, small_dataset):
+        good = {"image_id": 1, "category_id": 1, "score": 0.5,
+                "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
+        bad_counts = {**good, "segmentation": {"size": [8, 8], "counts": "1!"}}
+        bad_sum = {**good, "segmentation": {"size": [8, 8], "counts": [10, 4, 49]}}
+        bad_field = {**good, "image_id": 5}
+        cases = [
+            ([good, bad_counts, bad_field], "detection 1: counts character '!'"),
+            ([good, bad_sum, bad_counts], "detection 1: run lengths sum to 63"),
+            ([bad_counts, bad_sum], "detection 0: counts character '!'"),
+            ([good, bad_field, bad_counts], "detection 1: references unknown image 5"),
+            ([good, 3], "detection 1 must be a JSON object"),
+        ]
+        for records, message in cases:
+            with pytest.raises(LoadError, match=message):
+                load_detections(self.write_dt(tmp_path, records), small_dataset)
 
     def test_not_an_array(self, tmp_path, small_dataset):
         p = tmp_path / "dt.json"

@@ -2,8 +2,10 @@
 
 A change meant to keep behaviour must keep every digest here. Each scene
 pins the ``eval`` report (minus ``created_at``), ``prcurve`` CSVs, and the
-files ``nms --method matrix`` and ``nms --method soft`` keep. The digests
-were recorded before the IoU paths were consolidated; regenerate them only
+files ``nms --method matrix``, ``soft``, ``mask`` and ``semantic
+--semantic derive-from-gt`` keep. Each digest was recorded on the code
+before the change that it guards (the IoU paths were consolidated, then
+the semantic path and RLE ingestion were vectorised); regenerate them only
 for a change that is meant to alter an output.
 """
 
@@ -62,6 +64,8 @@ COMMANDS = {
         "pr.csv": ["prcurve"],
         "matrix.json": ["nms", "--method", "matrix"],
         "soft.json": ["nms", "--method", "soft"],
+        "semantic.json": ["nms", "--method", "semantic", "--semantic", "derive-from-gt"],
+        "mask.json": ["nms", "--method", "mask"],
     },
     "multi": {
         "report.json": ["eval", "--max-dets", "10"],
@@ -70,6 +74,8 @@ COMMANDS = {
         "pr-capped.csv": ["prcurve", "--max-dets", "10", "--iou-thr", "0.75"],
         "matrix.json": ["nms", "--method", "matrix"],
         "soft.json": ["nms", "--method", "soft"],
+        "semantic.json": ["nms", "--method", "semantic", "--semantic", "derive-from-gt"],
+        "mask.json": ["nms", "--method", "mask"],
     },
 }
 
@@ -79,6 +85,8 @@ GOLDEN = {
         "pr.csv": "8aa474258a30c27c794805ba82dab9348c614744eb6388ff62253d1c3e37c87a",
         "matrix.json": "1205e44a987b703614dbf3fc22d36a70502e346f2ad13c16520bcd46e05aeaa2",
         "soft.json": "00db9b446e9f0b9db9f3bb3d55347d97b24eb74b57c64a6456b2d9dbf156dd1b",
+        "semantic.json": "8443ccdff8ce1ddd188e60f10d104be358d0da45aae23306ec0ecce2ae1e1d8a",
+        "mask.json": "cb9625f64ca7f4a4792c9a4497baac058a1bfecce2a76916c4d0bc59aa0f0ae8",
     },
     "multi": {
         "report.json": "0014ec1f03e3d77841449020888340500b49c9d5e0a7d767ba48097bf5a73c95",
@@ -87,6 +95,8 @@ GOLDEN = {
         "pr-capped.csv": "a8ba2f97f8b485857ebd40dff5e5de074f4d94fc754eceaec9afdbf95b3a9439",
         "matrix.json": "1cd0d94b2bba4d77c803668db52c48a3cedd4839eb72d6700e1b93867836d0c1",
         "soft.json": "ab6621c1160a520ec2cde7efbced4c2f12f271a84a898ec300bb8d4f9584b25a",
+        "semantic.json": "fe6ad6a1f7596349258025cf32560aa671979edb98c0b37244b5b9689a1be1d4",
+        "mask.json": "3adde17f9ac7e4067361f97c3b415e218395d8a9ae47e41b7e3fe4a7b553d339",
     },
 }
 

@@ -1,5 +1,8 @@
 import json
+import re
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hedgeval import mask as mask_module
 from hedgeval.mask import (
     MalformedRleError,
     RleMask,
@@ -16,9 +20,11 @@ from hedgeval.mask import (
     encode,
     iou,
     iou_matrix,
+    leb_counts,
     pairwise_iou,
     rasterize_polygon,
 )
+from hedgeval.oracles import decompress_leb_naive
 
 from _reference_rle import (
     rle_to_string_reference,
@@ -120,6 +126,82 @@ class TestCountsString:
             decompress_leb("1!", 2, 1)
         with pytest.raises(MalformedRleError):
             decompress_leb(chr(112), 1, 1)
+
+
+LEB_ALPHABET = [chr(c) for c in range(48, 112)]
+OUT_OF_RANGE = ["!", "/", "p", "~", "\x00", "\u00e9", "\u20ac", "\ud800"]
+# twelve continuation groups and one more group: a value the batch decoder
+# rejects and the per-character loop accepts
+LONG_VALUE = re.compile("[P-o]{12}[0-o]")
+
+valid_strings = masks_strategy(max_side=16).map(lambda m: compress_leb(encode(m)))
+counts_strings = st.one_of(
+    valid_strings,
+    st.just(""),
+    # concatenated valid strings decode as longer (often faulty) streams
+    st.lists(valid_strings, min_size=2, max_size=6).map("".join),
+    st.text(alphabet=st.sampled_from(LEB_ALPHABET), max_size=40),
+    st.text(alphabet=st.sampled_from(LEB_ALPHABET + OUT_OF_RANGE), max_size=40),
+).filter(lambda s: not LONG_VALUE.search(s))
+
+
+def oracle_batch(batch):
+    """The per-character decoder's counts up to the first faulty string,
+    and that fault as (message, index), or None."""
+    counts = []
+    for k, s in enumerate(batch):
+        try:
+            counts.append(decompress_leb_naive(s))
+        except MalformedRleError as e:
+            return counts, (str(e), k)
+    return counts, None
+
+
+def batch_decode(batch):
+    counts = []
+    try:
+        for c in leb_counts(batch):
+            counts.append(c)
+    except MalformedRleError as e:
+        return counts, (str(e), e.index)
+    return counts, None
+
+
+class TestLebCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(counts_strings, max_size=8), st.integers(min_value=1, max_value=64))
+    def test_matches_per_character_oracle(self, batch, chunk):
+        # small chunks put chunk boundaries at every position and make
+        # most strings longer than a chunk
+        with patch.object(mask_module, "_LEB_CHUNK", chunk):
+            assert batch_decode(batch) == oracle_batch(batch)
+
+    def test_strings_longer_than_a_chunk(self, rng):
+        batch = [compress_leb(encode(random_mask(rng, *shape, density)))
+                 for shape, density in (((7, 9), 0.5), ((512, 512), 0.02), ((7, 9), 0.3),
+                                        ((512, 512), 0.5))]
+        assert len(batch[0]) < mask_module._LEB_CHUNK < min(len(batch[1]), len(batch[3]))
+        assert batch_decode(batch) == oracle_batch(batch)
+        assert batch_decode(batch + ["1!"]) == oracle_batch(batch + ["1!"])
+
+    def test_value_of_more_than_twelve_groups_rejected(self):
+        assert next(leb_counts(["P" * 11 + "0"])) == [0]  # twelve groups
+        assert decompress_leb_naive("1" + "P" * 12 + "0") == [1, 0]
+        with pytest.raises(MalformedRleError, match="position 1 has more than 12 groups") as e:
+            list(leb_counts(["1", "1" + "P" * 12 + "0"]))
+        assert e.value.index == 1
+        # twelve groups cut short by a bad character or the string's end
+        # fault as the per-character loop says
+        for s in ("P" * 12 + "!", "1" + "P" * 12, "P" * 11 + "!0"):
+            assert batch_decode([s]) == oracle_batch([s])
+
+    def test_overflowing_counts_stay_exact(self):
+        # each count exceeds the last of its parity by 2**57, so the later
+        # ones pass 2**63; they stay exact Python integers
+        counts = [1, 2, 3] + [(i // 2) << 57 for i in range(2, 200)]
+        s = compress_leb(SimpleNamespace(counts=counts))  # no RleMask: no mask has these runs
+        assert max(counts) > 2**63
+        assert next(leb_counts([s])) == decompress_leb_naive(s) == counts
 
 
 class TestPixelSetOps:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeval.coco import Detection, SemanticMaskSet
-from hedgeval.mask import encode, iou, iou_matrix
+from hedgeval.mask import decode, encode, iou, iou_matrix
 from hedgeval.nms import (
     NmsConfig,
     mask_nms,
@@ -326,6 +326,42 @@ class TestSemanticNms:
         if all(keep):
             inter = np.count_nonzero(a & b)
             assert inter <= 0.5 * min(a.sum(), b.sum())
+
+
+class TestSemanticLayouts:
+    @pytest.mark.parametrize("mask_order", ["C", "F"])
+    @pytest.mark.parametrize("budget_order", ["C", "F"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_layouts_agree_with_c_order(self, mask_order, budget_order, seed, n):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        masks = [random_mask(rng, h, w, rng.random()) for _ in range(n)]
+        scores = rng.random(n)
+        cats = rng.integers(1, 4, size=n).tolist()  # category 3 has no semantic mask
+        sem = {c: random_mask(rng, h, w, rng.random()) for c in (1, 2)}
+        ref_order, ref_combined = semantic_sort(masks, scores, cats, sem)
+        ref_budget = {c: m.copy() for c, m in sem.items()}
+        ref_keep = semantic_nms([masks[i] for i in ref_order], [cats[i] for i in ref_order],
+                                ref_budget)
+
+        laid = [np.array(m, order=mask_order) for m in masks]
+        laid_sem = {c: np.array(m, order=budget_order) for c, m in sem.items()}
+        order, combined = semantic_sort(laid, scores, cats, laid_sem)
+        assert order.tolist() == ref_order.tolist()
+        assert combined.tolist() == ref_combined.tolist()
+        keep = semantic_nms([laid[i] for i in order], [cats[i] for i in order], laid_sem)
+        assert keep == ref_keep
+        for c in sem:  # consumed in place, layout kept
+            assert np.array_equal(laid_sem[c], ref_budget[c])
+            assert laid_sem[c].flags[f"{budget_order}_CONTIGUOUS"]
+
+    def test_column_major_budget_consumed_in_place(self):
+        obj = box(8, 8, 2, 2, 4, 4)
+        sem = {1: decode(encode(obj))}
+        assert sem[1].flags.f_contiguous and not sem[1].flags.c_contiguous
+        assert semantic_nms([obj, obj.copy()], [1, 1], sem) == [True, False]
+        assert not sem[1].any()
 
 
 def det_of(mask, cat, score, image_id=1):
