@@ -27,7 +27,7 @@ from .coco import (
     write_detections,
     write_report,
 )
-from .evaluate import EvalConfig, build_report, compute_slices
+from .evaluate import EvalConfig, build_report, ranked_image
 from .nms import DECAYS, METHODS, SCORE_MODES, NmsConfig, run_nms
 from .pr import build_pr_curve
 from .synth import SynthConfig, generate, perfect_detector
@@ -318,12 +318,15 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
 
     wanted = ((category,) if category is not None else tuple(sorted(dataset.categories)))
     scores, flags, n_gt = [np.zeros(0)], [np.zeros(0, dtype=bool)], 0
-    for sl in compute_slices(dataset, dets.by_image, cfg):
+    for image_id in sorted(dataset.images):
+        _, _, ranked = ranked_image(dataset.gts_by_image.get(image_id, []),
+                                    dets.by_image.get(image_id, []), cfg)
         for cat in wanted:
-            if cat in sl.ranked:
-                n_gt += sl.n_gt[cat]
-                scores.append(sl.ranked[cat]["scores"])
-                flags.append(sl.ranked[cat]["flags"][iou_thr])
+            if cat in ranked:
+                s, ious, flags_by_t = ranked[cat]
+                n_gt += ious.shape[1]
+                scores.append(s)
+                flags.append(flags_by_t[iou_thr])
     curve = build_pr_curve(np.concatenate(scores), np.concatenate(flags), n_gt, iou_thr, category)
     writer = csv.writer(out)
     writer.writerow(["rank", "confidence", "is_tp", "precision", "recall"])

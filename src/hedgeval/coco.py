@@ -19,7 +19,6 @@ from .mask import (
     MalformedRleError,
     RleMask,
     decode,
-    decompress_leb,
     encode,
     leb_counts,
     rasterize_polygon,
@@ -108,6 +107,15 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _number(value, name: str) -> float:
+    """A numeric JSON field as a float: a bool, a string or any other
+    non-number raises ``LoadError`` naming the field. NaN and infinities
+    pass, for the caller's range check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LoadError(f"field '{name}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_segmentation(seg, height: int, width: int):
     """Check a segmentation's fields without decoding it. Returns the counts
     string of compressed RLE, the run lengths of raw-counts RLE as a tuple,
@@ -138,14 +146,6 @@ def _segmentation_mask(source, height: int, width: int, leb) -> RleMask:
     for poly in source:
         dense |= rasterize_polygon(poly, height, width)
     return encode(dense)
-
-
-def decode_segmentation(seg, height: int, width: int) -> RleMask:
-    """Accept compressed RLE, raw-counts RLE, or a polygon list."""
-    source = _check_segmentation(seg, height, width)
-    if isinstance(source, str):
-        return decompress_leb(source, height, width)
-    return _segmentation_mask(source, height, width, None)
 
 
 def load_ground_truth(path) -> Dataset:
@@ -207,7 +207,7 @@ def _check_annotation(rec, images, categories):
     ann_id = rec["id"]
     try:
         instance_id = _integer(ann_id, "id")
-        if int(rec.get("iscrowd", 0)):
+        if _integer(rec.get("iscrowd", 0), "iscrowd"):
             raise LoadError("iscrowd annotations are not supported")
         image_id = _integer(rec["image_id"], "image_id")
         category_id = _integer(rec["category_id"], "category_id")
@@ -268,7 +268,7 @@ def _check_detection(idx: int, rec, dataset: Dataset):
             raise LoadError(f"references unknown image {image_id}")
         if category_id not in dataset.categories:
             raise LoadError(f"references unknown category {category_id}")
-        score = float(rec["score"])
+        score = _number(rec["score"], "score")
         img = dataset.images[image_id]
         source = _check_segmentation(rec["segmentation"], img.height, img.width)
     except (LoadError, MalformedRleError, ValueError) as e:
@@ -296,7 +296,10 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
     named after no dataset category raises ``LoadError``), or one of the
     modes 'derive-from-gt' (union of GT masks per category) and
     'derive-from-dt' (union of detection masks per category with score >=
-    conf_floor, requires ``detections``).
+    conf_floor, requires ``detections``). Directory files are checked
+    first, then their masks are built with the counts strings decoded in
+    batches, as the two loaders do; errors name the first faulty file in
+    (image, category) order.
     """
     out: dict[int, SemanticMaskSet] = {}
     if source == DERIVE_FROM_GT:
@@ -318,27 +321,40 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
         return out
 
     root = Path(source)
-    for image_id, img in dataset.images.items():
-        img_dir = root / str(image_id)
-        if not img_dir.is_dir():
-            raise LoadError(f"semantic mask directory missing image entry {img_dir}")
-        present = {fp.name for fp in img_dir.glob("*.json")}
-        stray = present - {f"{c}.json" for c in dataset.categories}
-        if stray:
-            raise LoadError(f"semantic mask {img_dir / min(stray)}: no such category in the dataset")
-        masks: dict[int, np.ndarray] = {}
-        for category_id in dataset.categories:
-            fp = img_dir / f"{category_id}.json"
-            if fp.name not in present:
-                continue
-            with open(fp) as f:
-                seg = json.load(f)
-            try:
-                rle = decode_segmentation(seg, img.height, img.width)
-            except (LoadError, MalformedRleError, ValueError) as e:
-                raise LoadError(f"semantic mask {fp}: {e}") from e
-            masks[category_id] = decode(rle)
-        out[image_id] = SemanticMaskSet(image_id, masks)
+    checked, field_error = [], None
+    try:
+        for image_id, img in dataset.images.items():
+            img_dir = root / str(image_id)
+            if not img_dir.is_dir():
+                raise LoadError(f"semantic mask directory missing image entry {img_dir}")
+            present = {fp.name for fp in img_dir.glob("*.json")}
+            stray = present - {f"{c}.json" for c in dataset.categories}
+            if stray:
+                raise LoadError(f"semantic mask {img_dir / min(stray)}: no such category in the dataset")
+            for category_id in dataset.categories:
+                fp = img_dir / f"{category_id}.json"
+                if fp.name not in present:
+                    continue
+                try:
+                    with open(fp) as f:
+                        seg = json.load(f)
+                    checked.append((image_id, category_id, fp,
+                                    _check_segmentation(seg, img.height, img.width)))
+                except (LoadError, MalformedRleError, ValueError) as e:
+                    raise LoadError(f"semantic mask {fp}: {e}") from e
+    except LoadError as e:
+        field_error = e
+    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
+    out = {i: SemanticMaskSet(i, {}) for i in dataset.images}
+    for image_id, category_id, fp, seg in checked:
+        img = dataset.images[image_id]
+        try:
+            rle = _segmentation_mask(seg, img.height, img.width, leb)
+        except (LoadError, MalformedRleError, ValueError) as e:
+            raise LoadError(f"semantic mask {fp}: {e}") from e
+        out[image_id].masks[category_id] = decode(rle)
+    if field_error is not None:
+        raise field_error
     return out
 
 

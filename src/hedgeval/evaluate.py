@@ -36,7 +36,7 @@ from .hedging import (
 from .lrp import lrp_from_matching, olrp_scan
 from .mask import decode, iou_matrix, pairwise_iou
 from .matching import confidence_order, greedy_match, greedy_match_from_ious
-from .oracles import ap_naive, dc_bruteforce, match_bruteforce
+from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
 from .pr import (
     average_precision,
     build_pr_curve,
@@ -98,9 +98,17 @@ def _flags(match) -> np.ndarray:
     return np.array([g is not None for g in match.det_to_gt], dtype=bool)
 
 
-def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
+def ranked_image(gts, dets, cfg: EvalConfig):
+    """Decode one image and match its ranked (AP/LRP) path.
+
+    Returns the decoded detection masks, the image's one det x GT
+    ``iou_matrix`` and, per category with a detection or a ground truth,
+    ``(scores, ious, flags)``: the scores of the detections kept by the
+    ``max_dets`` cap in file order, their IoU rows against the category's
+    ground truths, and their greedy TP flags at each of ``cfg.iou_thrs``.
+    """
     det_masks = [decode(d.mask) for d in dets]
-    gt_masks = [decode(g.mask) for g in gts]
+    det_gt = iou_matrix(det_masks, [decode(g.mask) for g in gts])
     scores = np.array([d.score for d in dets], dtype=np.float64)
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
@@ -110,20 +118,29 @@ def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
     else:
         capped = np.arange(len(dets))
 
-    det_gt = iou_matrix(det_masks, gt_masks)
-    ranked, plain, dc_groups, n_gt = {}, {}, [], {}
+    ranked = {}
     for cat in sorted(set(det_cats.tolist()) | set(gt_cats.tolist())):
+        d = capped[det_cats[capped] == cat]
+        ious = det_gt[np.ix_(d, np.flatnonzero(gt_cats == cat))]
+        s = scores[d]
+        ranked[cat] = (s, ious, {
+            t: _flags(greedy_match_from_ious(ious, s, t)) for t in cfg.iou_thrs
+        })
+    return det_masks, det_gt, ranked
+
+
+def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
+    det_masks, det_gt, ranked_by_cat = ranked_image(gts, dets, cfg)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
+    gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
+
+    ranked, plain, dc_groups, n_gt = {}, {}, [], {}
+    for cat, (s, ious, flags_by_t) in ranked_by_cat.items():
         d_all = np.flatnonzero(det_cats == cat)
         g_idx = np.flatnonzero(gt_cats == cat)
         n_gt[cat] = int(g_idx.size)
-        ious_full = det_gt[np.ix_(d_all, g_idx)]
 
-        rows = np.flatnonzero(np.isin(d_all, capped))
-        ious = ious_full[rows]
-        s = scores[d_all[rows]]
-        flags_by_t = {
-            t: _flags(greedy_match_from_ious(ious, s, t)) for t in cfg.iou_thrs
-        }
         lres = greedy_match_from_ious(ious, s, cfg.lrp_iou_thr)
         ranked[cat] = {
             "scores": s,
@@ -134,7 +151,7 @@ def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
 
         rows = np.flatnonzero(scores[d_all] >= cfg.min_score)
         s = scores[d_all[rows]]
-        fres = greedy_match_from_ious(ious_full[rows], s, cfg.f1_iou_thr)
+        fres = greedy_match_from_ious(det_gt[np.ix_(d_all[rows], g_idx)], s, cfg.f1_iou_thr)
         plain[cat] = {"scores": s, "flags": _flags(fres),
                       "tp": fres.n_tp, "n_det": int(rows.size)}
 
@@ -271,7 +288,8 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
     """Re-run a deterministic sample through the brute-force references.
 
     Checks greedy matching per sampled image, duplicate confusion on small
-    graphs from those images, and the 101-point AP of every category at the
+    graphs from those images (the whole graph and each confidence floor of
+    ``cfg.dc_conf_thrs``), and the 101-point AP of every category at the
     first IoU threshold.
     """
     rng = np.random.default_rng(cfg.verify_seed)
@@ -313,6 +331,9 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
                 graphs_checked += 1
                 if abs(dc_single(g) - dc_bruteforce(g)) > VERIFY_TOL:
                     ok = False
+                for v in cfg.dc_conf_thrs:  # the floors duplicate_confusion reads
+                    if abs(dc_single(g, v) - dc_bruteforce(induced_subgraph(g, v))) > VERIFY_TOL:
+                        ok = False
 
     for cat in sorted(dataset.categories):
         curve = curves[(cat, t0)]

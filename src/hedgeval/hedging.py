@@ -15,7 +15,7 @@ the total number of ground truths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,20 +76,6 @@ class DetectionGraph:
         """``bottleneck_connectivity`` of this graph, computed on first use."""
         return bottleneck_connectivity(self)
 
-    def at_floor(self, v: float) -> "DetectionGraph":
-        """Subgraph induced on the detections with confidence >= v.
-
-        Every vertex on a path whose bottleneck is >= v has confidence >= v,
-        so the subgraph's connectivity equals this graph's where that is
-        >= v and is 0 elsewhere: it is sliced from ``connectivity``, not
-        recomputed.
-        """
-        keep = np.flatnonzero(self.confidences >= v)
-        sub = DetectionGraph(self.confidences[keep], self.adjacency[np.ix_(keep, keep)])
-        c = self.connectivity[np.ix_(keep, keep)]
-        sub.connectivity = np.where(c >= v, c, 0.0)
-        return sub
-
 
 def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
     """All-pairs maximum-bottleneck connectivity over vertex confidences.
@@ -136,14 +122,26 @@ def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
     return c
 
 
-def dc_single(g: DetectionGraph) -> float:
+def dc_single(g: DetectionGraph, floor: float | None = None) -> float:
     """Duplicate confusion of one graph: mean over detections i of
-    sum_{j != i} tau_j * c_ij / tau_i."""
-    m = len(g)
-    if m == 0:
-        return 0.0
+    sum_{j != i} tau_j * c_ij / tau_i.
+
+    With a ``floor``, the score of the subgraph induced on the detections
+    with tau >= floor. Every vertex on a path whose bottleneck is >= floor
+    has tau >= floor, so that subgraph's connectivity is ``g.connectivity``
+    sliced to the kept vertices, with entries below the floor zeroed; it is
+    not recomputed.
+    """
     taus = g.confidences
     c = g.connectivity
+    if floor is not None:
+        keep = np.flatnonzero(taus >= floor)
+        taus = taus[keep]
+        c = c.take(keep, 0).take(keep, 1)  # C order: the sum below rounds in memory order
+        c = np.where(c >= floor, c, 0.0)
+    m = len(taus)
+    if m == 0:
+        return 0.0
     return float((c * taus[None, :] / taus[:, None]).sum() / m)
 
 
@@ -161,7 +159,6 @@ class DcResult:
     dc: float
     grid: list[list[float]]
     cells: list[list[int]]
-    config: DcConfig = field(default_factory=DcConfig)
 
 
 def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
@@ -179,11 +176,11 @@ def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
             g = DetectionGraph.from_ious(scores, ious, t)  # one spanning forest per t
             for vi, v in enumerate(cfg.conf_thrs):
                 if (scores >= v).any():
-                    values[ti][vi].append(dc_single(g.at_floor(v)))
+                    values[ti][vi].append(dc_single(g, v))
     grid = [[float(np.mean(vals)) if vals else 0.0 for vals in row] for row in values]
     cells = [[len(vals) for vals in row] for row in values]
     dc = float(np.mean([v for row in grid for v in row]))
-    return DcResult(dc=dc, grid=grid, cells=cells, config=cfg)
+    return DcResult(dc=dc, grid=grid, cells=cells)
 
 
 @dataclass

@@ -46,6 +46,13 @@ def bottleneck_bruteforce(g: DetectionGraph) -> np.ndarray:
     return best
 
 
+def induced_subgraph(g: DetectionGraph, floor: float) -> DetectionGraph:
+    """A new graph on the detections of ``g`` with confidence >= floor and
+    the edges among them; its connectivity is computed afresh on use."""
+    keep = np.flatnonzero(g.confidences >= floor)
+    return DetectionGraph(g.confidences[keep], g.adjacency[np.ix_(keep, keep)])
+
+
 def dc_bruteforce(g: DetectionGraph) -> float:
     """Duplicate confusion of one graph, expanded term by term."""
     taus = np.asarray(g.confidences, dtype=np.float64)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import importlib
 import json
 from pathlib import Path
 
@@ -231,6 +232,20 @@ class TestPrcurveCommand:
                                       "--dt", str(dt_path), "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("rank,confidence,is_tp")
+
+    def test_builds_only_the_ranked_path(self, runner, synth_dir, monkeypatch):
+        # the package exports a function named evaluate over the submodule
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+
+        def unused(*args, **kwargs):
+            raise AssertionError("prcurve computed an input it does not use")
+
+        for name in ("pairwise_iou", "naming_error", "duplicate_confusion"):
+            monkeypatch.setattr(evaluate_mod, name, unused)
+        result = runner.invoke(main, ["prcurve", "--gt", str(synth_dir / "annotations.json"),
+                                      "--dt", str(synth_dir / "detections.json")])
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) > 1
 
     def test_unknown_category(self, runner, tmp_path):
         gt_path, dt_path = toy_files(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,15 @@ class TestLoadGroundTruth:
         ann = {"id": 5, "image_id": 1, "category_id": 1, "iscrowd": 1,
                "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
         with pytest.raises(LoadError, match="annotation 5.*iscrowd"):
+            load_ground_truth(gt_file([ann]))
+
+    @pytest.mark.parametrize("value", [0.7, True, False])
+    def test_iscrowd_must_be_an_integer(self, gt_file, value):
+        ann = {"id": 5, "image_id": 1, "category_id": 1, "iscrowd": 0.0,
+               "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
+        assert load_ground_truth(gt_file([ann])).n_ground_truths == 1
+        ann["iscrowd"] = value
+        with pytest.raises(LoadError, match=rf"^annotation 5: field 'iscrowd' must be an integer, got {value!r}"):
             load_ground_truth(gt_file([ann]))
 
     def test_unknown_image(self, gt_file):
@@ -244,6 +254,21 @@ class TestLoadDetections:
         assert got.rejected_bad_score == 2
         assert got.n_loaded == 1
 
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_score_must_be_a_number(self, tmp_path, small_dataset, value):
+        good = {"image_id": 1, "category_id": 1, "score": 1,
+                "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
+        assert load_detections(self.write_dt(tmp_path, [good]), small_dataset).n_loaded == 1
+        rec = {**good, "score": value}
+        with pytest.raises(LoadError, match=rf"^detection 1: field 'score' must be a number, got {re.escape(repr(value))}"):
+            load_detections(self.write_dt(tmp_path, [good, rec]), small_dataset)
+
+    def test_nan_score_counted_as_bad(self, tmp_path, small_dataset):
+        rec = {"image_id": 1, "category_id": 1, "score": float("nan"),
+               "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
+        got = load_detections(self.write_dt(tmp_path, [rec]), small_dataset)
+        assert got.rejected_bad_score == 1 and got.n_loaded == 0
+
     def test_empty_masks_counted(self, tmp_path, small_dataset):
         recs = [{"image_id": 1, "category_id": 1, "score": 0.5,
                  "segmentation": {"size": [8, 8], "counts": [64]}}]
@@ -351,6 +376,22 @@ class TestSemanticMasks:
         (img_dir / "99.json").write_text(json.dumps(seg_of(block(8, 8, 0, 0, 2, 2))))
         with pytest.raises(LoadError, match=r"semantic/1/99\.json"):
             load_semantic_masks(tmp_path / "semantic", ds)
+
+    def test_directory_first_faulty_file_in_order(self, tmp_path, gt_file, rng):
+        images = [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8}]
+        cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
+        ds = load_ground_truth(gt_file([], images=images, categories=cats))
+        out = tmp_path / "semantic"
+        write_semantic_masks([SemanticMaskSet(1, {1: random_mask(rng, 8, 8), 2: random_mask(rng, 8, 8)}),
+                              SemanticMaskSet(2, {1: random_mask(rng, 8, 8)})], out)
+        assert sorted(load_semantic_masks(out, ds)[1].masks) == [1, 2]
+        (out / "1" / "2.json").write_text(json.dumps({"size": [8, 8], "counts": "1!"}))
+        (out / "2" / "1.json").write_text(json.dumps(seg_of(block(4, 8, 0, 0, 2, 2))))
+        with pytest.raises(LoadError, match=r"^semantic mask \S*semantic/1/2\.json: counts character '!'"):
+            load_semantic_masks(out, ds)
+        (out / "1" / "2.json").write_text(json.dumps(seg_of(block(8, 8, 0, 0, 2, 2))))
+        with pytest.raises(LoadError, match=r"^semantic mask \S*semantic/2/1\.json: segmentation size 4x8"):
+            load_semantic_masks(out, ds)
 
     def test_directory_missing_image_entry(self, tmp_path, gt_file):
         ds = load_ground_truth(gt_file([]))

@@ -1,5 +1,6 @@
 """End-to-end evaluation pipeline over in-memory datasets."""
 
+import importlib
 import json
 from datetime import datetime
 
@@ -99,6 +100,22 @@ class TestPerfectAndHedged:
         assert verify["images_checked"] >= 1
         assert verify["matches_checked"] > 0
         assert verify["graphs_checked"] > 0
+
+    def test_verify_checks_every_confidence_floor(self, synth, monkeypatch):
+        # the package exports a function named evaluate over the submodule
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+
+        dets = perfect_detector(synth, spatial_copies=2)
+        _, clean = evaluate(synth, dets, EvalConfig(verify=True))
+        whole_graph_only = evaluate_mod.dc_single
+
+        def off_at_floors(g, floor=None):
+            return whole_graph_only(g, floor) + (0.0 if floor is None else 1e-6)
+
+        monkeypatch.setattr(evaluate_mod, "dc_single", off_at_floors)
+        _, broken = evaluate(synth, dets, EvalConfig(verify=True))
+        assert clean["ok"] and not broken["ok"]
+        assert broken["graphs_checked"] == clean["graphs_checked"] > 0
 
 
 class TestPerCategory:

@@ -12,7 +12,7 @@ from hedgeval.hedging import (
     duplicate_confusion,
     naming_error,
 )
-from hedgeval.oracles import bottleneck_bruteforce, dc_bruteforce
+from hedgeval.oracles import bottleneck_bruteforce, dc_bruteforce, induced_subgraph
 
 
 def graph(taus, edges):
@@ -102,25 +102,6 @@ class TestBottleneckConnectivity:
             assert np.abs(got - ref).max() <= 1e-9 if len(g) else got.size == 0
 
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
-        st.lists(st.sampled_from(DEFAULT_DC_CONF_THRS) | st.floats(0.05, 1.0),
-                 min_size=m, max_size=m),
-        st.lists(st.booleans(), min_size=m * m, max_size=m * m))))
-    def test_at_floor_equals_induced_subgraph(self, drawn):
-        taus, edges = drawn
-        m = len(taus)
-        adj = np.triu(np.array(edges, dtype=bool).reshape(m, m), k=1)
-        g = DetectionGraph(taus, adj | adj.T)
-        for v in DEFAULT_DC_CONF_THRS:
-            keep = np.flatnonzero(g.confidences >= v)
-            fresh = DetectionGraph(g.confidences[keep], g.adjacency[np.ix_(keep, keep)])
-            sub = g.at_floor(v)
-            assert np.array_equal(sub.confidences, fresh.confidences)
-            assert np.array_equal(sub.adjacency, fresh.adjacency)
-            assert np.array_equal(sub.connectivity, bottleneck_connectivity(fresh))
-
-
 class TestDcSingle:
     def test_single_vertex(self):
         assert dc_single(graph([0.7], [])) == 0.0
@@ -164,6 +145,46 @@ class TestDcSingle:
                 np.concatenate([taus, taus - 0.05]), hedged_ious, 0.5
             )
             assert dc_single(hedged) > dc_single(g)
+
+
+class TestDcFloor:
+    """``dc_single(g, v)`` slices the whole graph's connectivity; it must
+    equal, bit for bit, the score of the induced subgraph built afresh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 24).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(DEFAULT_DC_CONF_THRS) | st.floats(0.05, 1.0),
+                 min_size=m, max_size=m),
+        st.lists(st.booleans(), min_size=m * m, max_size=m * m))))
+    def test_floor_equals_fresh_induced_subgraph(self, drawn):
+        taus, edges = drawn
+        m = len(taus)
+        adj = np.triu(np.array(edges, dtype=bool).reshape(m, m), k=1)
+        g = DetectionGraph(taus, adj | adj.T)
+        for v in DEFAULT_DC_CONF_THRS:
+            assert dc_single(g, v) == dc_single(induced_subgraph(g, v))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(DEFAULT_DC_CONF_THRS) | st.floats(0.05, 1.0),
+                             min_size=1, max_size=16), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_grid_cells_are_means_of_fresh_cells(self, confidences, seed):
+        rng = np.random.default_rng(seed)
+        groups = []
+        for taus in confidences:
+            m = len(taus)
+            ious = rng.uniform(0.0, 1.0, size=(m, m))
+            ious = np.maximum(np.triu(ious, 1), np.triu(ious, 1).T)
+            np.fill_diagonal(ious, 1.0)
+            groups.append((np.array(taus), ious))
+        cfg = DcConfig()
+        res = duplicate_confusion(groups, cfg)
+        for ti, t in enumerate(cfg.iou_thrs):
+            for vi, v in enumerate(cfg.conf_thrs):
+                vals = [dc_single(induced_subgraph(DetectionGraph.from_ious(taus, ious, t), v))
+                        for taus, ious in groups if (taus >= v).any()]
+                assert res.cells[ti][vi] == len(vals)
+                assert res.grid[ti][vi] == (float(np.mean(vals)) if vals else 0.0)
 
 
 class TestDcConfig:
