@@ -100,9 +100,11 @@ def _require(record: dict, keys, what: str):
 
 
 def _integer(value, name: str) -> int:
-    """An integer JSON field: ints and integral floats pass; a bool or a
-    fractional number raises ``LoadError`` naming the field."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer JSON field: ints and integral floats pass; anything else
+    (a bool, a fractional number, a string, null, a list or an object)
+    raises ``LoadError`` naming the field."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise LoadError(f"field '{name}' must be an integer, got {value!r}")
     return int(value)
 
@@ -122,11 +124,15 @@ def _check_segmentation(seg, height: int, width: int):
     or the polygon list."""
     if isinstance(seg, dict):
         _require(seg, ("size", "counts"), "segmentation object")
+        if not isinstance(seg["size"], list) or len(seg["size"]) != 2:
+            raise LoadError(f"field 'segmentation.size' must be a list of two integers, got {seg['size']!r}")
         h, w = (_integer(v, "segmentation.size") for v in seg["size"])
         if (h, w) != (height, width):
             raise LoadError(f"segmentation size {h}x{w} does not match image {height}x{width}")
         if isinstance(seg["counts"], str):
             return seg["counts"]
+        if not isinstance(seg["counts"], list):
+            raise LoadError(f"field 'segmentation.counts' must be a string or a list, got {seg['counts']!r}")
         return tuple(_integer(c, "segmentation.counts") for c in seg["counts"])
     if isinstance(seg, list):
         if not seg or not all(isinstance(p, list) for p in seg):

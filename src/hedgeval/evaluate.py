@@ -34,7 +34,7 @@ from .hedging import (
     naming_error,
 )
 from .lrp import lrp_from_matching, olrp_scan
-from .mask import decode, iou_matrix, pairwise_iou
+from .mask import MaskTable, decode, iou, pairwise_iou, table_iou, table_pairwise_iou
 from .matching import confidence_order, greedy_match, greedy_match_from_ious
 from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
 from .pr import (
@@ -98,17 +98,29 @@ def _flags(match) -> np.ndarray:
     return np.array([g is not None for g in match.det_to_gt], dtype=bool)
 
 
-def ranked_image(gts, dets, cfg: EvalConfig):
-    """Decode one image and match its ranked (AP/LRP) path.
+def image_table(gts, dets) -> MaskTable:
+    """The one mask table of an image: its detections, then its ground
+    truths, read from their RLE runs."""
+    return MaskTable.from_rles([d.mask for d in dets] + [g.mask for g in gts])
 
-    Returns the decoded detection masks, the image's one det x GT
-    ``iou_matrix`` and, per category with a detection or a ground truth,
-    ``(scores, ious, flags)``: the scores of the detections kept by the
-    ``max_dets`` cap in file order, their IoU rows against the category's
-    ground truths, and their greedy TP flags at each of ``cfg.iou_thrs``.
+
+def _det_gt_iou(table: MaskTable, n_dets: int) -> np.ndarray:
+    """The det x GT block of an ``image_table``."""
+    return table_iou(table.take(np.arange(n_dets)),
+                     table.take(np.arange(n_dets, len(table))))
+
+
+def ranked_image(gts, dets, cfg: EvalConfig):
+    """Build one image's mask table and match its ranked (AP/LRP) path.
+
+    Returns the ``image_table``, its det x GT IoU block and, per category
+    with a detection or a ground truth, ``(scores, ious, flags)``: the
+    scores of the detections kept by the ``max_dets`` cap in file order,
+    their IoU rows against the category's ground truths, and their greedy
+    TP flags at each of ``cfg.iou_thrs``.
     """
-    det_masks = [decode(d.mask) for d in dets]
-    det_gt = iou_matrix(det_masks, [decode(g.mask) for g in gts])
+    table = image_table(gts, dets)
+    det_gt = _det_gt_iou(table, len(dets))
     scores = np.array([d.score for d in dets], dtype=np.float64)
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
@@ -126,11 +138,11 @@ def ranked_image(gts, dets, cfg: EvalConfig):
         ranked[cat] = (s, ious, {
             t: _flags(greedy_match_from_ious(ious, s, t)) for t in cfg.iou_thrs
         })
-    return det_masks, det_gt, ranked
+    return table, det_gt, ranked
 
 
 def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
-    det_masks, det_gt, ranked_by_cat = ranked_image(gts, dets, cfg)
+    table, det_gt, ranked_by_cat = ranked_image(gts, dets, cfg)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
@@ -156,8 +168,7 @@ def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
                       "tp": fres.n_tp, "n_det": int(rows.size)}
 
         if d_all.size:
-            dc_groups.append((scores[d_all],
-                              pairwise_iou([det_masks[i] for i in d_all])))
+            dc_groups.append((scores[d_all], table_pairwise_iou(table.take(d_all))))
 
     ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
     return _ImageSlice(ranked, plain, dc_groups, ne_item, n_gt)
@@ -284,10 +295,30 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     return metrics, verify
 
 
+def _dense_iou(rows, cols) -> np.ndarray:
+    return np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+
+
+def _table_is_exact(table: MaskTable, det_masks, gt_masks, det_cats) -> bool:
+    """Whether an ``image_table``'s det x GT block and each category's
+    det x det block equal ``iou`` of the decoded masks, entry for entry."""
+    if not np.array_equal(_det_gt_iou(table, len(det_masks)), _dense_iou(det_masks, gt_masks)):
+        return False
+    det_cats = np.array(det_cats, dtype=np.int64)
+    for cat in np.unique(det_cats):
+        d = np.flatnonzero(det_cats == cat)
+        dm = [det_masks[i] for i in d]
+        if not np.array_equal(table_pairwise_iou(table.take(d)), _dense_iou(dm, dm)):
+            return False
+    return True
+
+
 def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
     """Re-run a deterministic sample through the brute-force references.
 
-    Checks greedy matching per sampled image, duplicate confusion on small
+    Checks each sampled image's mask table (its det x GT block and every
+    category's det x det block against ``iou`` of the decoded masks, entry
+    for entry), greedy matching per sampled image, duplicate confusion on small
     graphs from those images (the whole graph and each confidence floor of
     ``cfg.dc_conf_thrs``), and the 101-point AP of every category at the
     first IoU threshold.
@@ -309,6 +340,8 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
         scores = np.array([d.score for d in dets], dtype=np.float64)
         det_cats = [d.category_id for d in dets]
         gt_cats = [g.category_id for g in gts]
+        if not _table_is_exact(image_table(gts, dets), det_masks, gt_masks, det_cats):
+            ok = False
         for cat in sorted(set(det_cats) | set(gt_cats)):
             dm = [m for m, c in zip(det_masks, det_cats) if c == cat]
             gm = [m for m, c in zip(gt_masks, gt_cats) if c == cat]

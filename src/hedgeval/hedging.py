@@ -86,6 +86,11 @@ def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
     over paths is realised on a maximum spanning forest of edge strengths:
     process edges strongest-first with union-find and record the merge
     strength for every newly connected pair. Unconnected pairs stay 0.
+
+    A merge appends one member list to the other, so in the final member
+    order every component ever formed is contiguous. Each merge therefore
+    writes two contiguous blocks of the matrix in that order, which is
+    permuted back to vertex order once at the end.
     """
     m = len(g)
     c = np.zeros((m, m))
@@ -100,6 +105,7 @@ def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
 
     parent = list(range(m))
     members: list[list[int]] = [[v] for v in range(m)]
+    merges = []  # (first vertex of a, len(a), len(b), strength)
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -107,19 +113,27 @@ def bottleneck_connectivity(g: DetectionGraph) -> np.ndarray:
             v = parent[v]
         return v
 
-    for e in order:
+    ii, jj, strength = ii.tolist(), jj.tolist(), strength.tolist()
+    for e in order.tolist():
         ra, rb = find(ii[e]), find(jj[e])
         if ra == rb:
             continue
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         a, b = members[ra], members[rb]
-        c[np.ix_(a, b)] = strength[e]
-        c[np.ix_(b, a)] = strength[e]
+        merges.append((a[0], len(a), len(b), strength[e]))
         parent[rb] = ra
         members[ra] = a + b
         members[rb] = []
-    return c
+
+    pos = np.empty(m, dtype=np.intp)  # vertex -> place in the final member order
+    pos[[v for group in members for v in group]] = np.arange(m)
+    at = pos.tolist()
+    for head, na, nb, s in merges:
+        p = at[head]
+        c[p:p + na, p + na:p + na + nb] = s
+        c[p + na:p + na + nb, p:p + na] = s
+    return c.take(pos, 0).take(pos, 1)
 
 
 def dc_single(g: DetectionGraph, floor: float | None = None) -> float:

@@ -78,11 +78,17 @@ def encode(mask: np.ndarray) -> RleMask:
     return RleMask(mask.shape[0], mask.shape[1], tuple(counts))
 
 
+def _paint(runs, height: int, width: int) -> np.ndarray:
+    """Bool array of alternating background/foreground runs in column-major
+    order, starting with background."""
+    values = np.arange(len(runs)) % 2  # background, foreground, background, ...
+    flat = np.repeat(values.astype(bool), runs)
+    return flat.reshape((height, width), order="F")
+
+
 def decode(rle: RleMask) -> np.ndarray:
     """Decode an RleMask back to a dense bool array (inverse of encode)."""
-    values = np.arange(len(rle.counts)) % 2  # background, foreground, background, ...
-    flat = np.repeat(values.astype(bool), rle.counts)
-    return flat.reshape((rle.height, rle.width), order="F")
+    return _paint(rle.counts, rle.height, rle.width)
 
 
 _LEB_CHAR_LO = 48
@@ -249,37 +255,114 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def _mask_table(masks):
-    """Bool masks of one shape, their half-open boxes (r0, r1, c0, c1) and
-    exact areas. An empty mask gets the empty box (0, 0, 0, 0), which
-    overlaps no box."""
-    masks = [_as_mask(m) for m in masks]
-    boxes = np.zeros((len(masks), 4), dtype=np.intp)
-    areas = np.zeros(len(masks), dtype=np.int64)
-    for k, m in enumerate(masks):
-        _check_same_shape(masks[0], m)
-        rows = np.flatnonzero(m.any(axis=1))
-        if rows.size:
-            cols = np.flatnonzero(m.any(axis=0))
-            r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-            boxes[k] = r0, r1, c0, c1
-            areas[k] = np.count_nonzero(m[r0:r1, c0:c1])
-    return masks, boxes, areas
+_EMPTY_CROP = np.zeros((0, 0), dtype=bool)
 
 
-def _intersections(ma, ba, mb, bb, upper=False) -> np.ndarray:
+def _rle_entry(rle: RleMask):
+    """Box, area and crop of one mask, read from its runs. Only the box's
+    pixels are ever materialised."""
+    h = rle.height
+    counts = np.array(rle.counts, dtype=np.int64)
+    fg_len = counts[1::2]
+    fg_end = np.cumsum(counts)[1::2]
+    keep = fg_len > 0
+    fg_len, fg_end = fg_len[keep], fg_end[keep]
+    if not fg_len.size:
+        return (0, 0, 0, 0), 0, _EMPTY_CROP
+    col0, row0 = np.divmod(fg_end - fg_len, h)  # first pixel of each run
+    col1, row1 = np.divmod(fg_end - 1, h)  # last pixel of each run
+    if (col0 != col1).any():  # a run across a column edge holds the last row and the first
+        r0, r1 = 0, h
+    else:
+        r0, r1 = int(row0.min()), int(row1.max()) + 1
+    c0, c1 = int(col0[0]), int(col1[-1]) + 1
+    # each run stays contiguous in the crop's column-major order: either it
+    # lies in one column, or the box spans every row
+    at = (col0 - c0) * (r1 - r0) + (row0 - r0)
+    runs = np.empty(2 * fg_len.size + 1, dtype=np.int64)
+    runs[0] = at[0]
+    runs[2:-1:2] = at[1:] - (at[:-1] + fg_len[:-1])
+    runs[1::2] = fg_len
+    runs[-1] = (r1 - r0) * (c1 - c0) - (at[-1] + fg_len[-1])
+    return (r0, r1, c0, c1), int(fg_len.sum()), _paint(runs, r1 - r0, c1 - c0)
+
+
+def _dense_entry(m: np.ndarray):
+    """Box, area and crop of one dense mask, found by scanning it."""
+    rows = np.flatnonzero(m.any(axis=1))
+    if not rows.size:
+        return (0, 0, 0, 0), 0, _EMPTY_CROP
+    cols = np.flatnonzero(m.any(axis=0))
+    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    crop = m[r0:r1, c0:c1]
+    return (r0, r1, c0, c1), int(np.count_nonzero(crop)), crop
+
+
+@dataclass(frozen=True)
+class MaskTable:
+    """Masks of one shape, each held as its half-open box (r0, r1, c0, c1),
+    its exact area and a bool crop of that box.
+
+    An empty mask gets the empty box (0, 0, 0, 0), which overlaps no box,
+    and a 0x0 crop. Built from RLE, each crop is its own array of the box's
+    pixels, so memory scales with the total box area, not with masks x H x W.
+    """
+
+    shape: tuple[int, int] | None  # None for a table of no masks
+    boxes: np.ndarray  # (n, 4) intp
+    areas: np.ndarray  # (n,) int64
+    crops: tuple[np.ndarray, ...]
+
+    @classmethod
+    def _build(cls, shapes, entries) -> "MaskTable":
+        shapes = list(shapes)
+        for s in shapes[1:]:
+            if s != shapes[0]:
+                raise ValueError(f"mask dimensions differ: {shapes[0]} vs {s}")
+        boxes, areas, crops = zip(*entries) if shapes else ((), (), ())
+        return cls(shapes[0] if shapes else None,
+                   np.array(boxes, dtype=np.intp).reshape(-1, 4),
+                   np.array(areas, dtype=np.int64), tuple(crops))
+
+    @classmethod
+    def from_rles(cls, rles) -> "MaskTable":
+        """Table of RLE masks, read from their runs with no full-image decode."""
+        rles = list(rles)
+        return cls._build(((r.height, r.width) for r in rles), map(_rle_entry, rles))
+
+    @classmethod
+    def from_dense(cls, masks) -> "MaskTable":
+        """Table of dense bool masks; each crop is a view into its mask."""
+        masks = [_as_mask(m) for m in masks]
+        return cls._build((m.shape for m in masks), map(_dense_entry, masks))
+
+    def __len__(self) -> int:
+        return len(self.crops)
+
+    def take(self, idx) -> "MaskTable":
+        """The table of the masks at ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return MaskTable(self.shape, self.boxes[idx], self.areas[idx],
+                         tuple(self.crops[i] for i in idx.tolist()))
+
+
+def _intersections(a: MaskTable, b: MaskTable, upper=False) -> np.ndarray:
     """Exact pixel counts |a∩b|, counted only on the overlap window of each
     pair whose boxes overlap (only pairs i < j when ``upper``)."""
-    lo = np.maximum(ba[:, None, 0::2], bb[None, :, 0::2])  # (r0, c0) per pair
-    hi = np.minimum(ba[:, None, 1::2], bb[None, :, 1::2])  # (r1, c1) per pair
+    lo = np.maximum(a.boxes[:, None, 0::2], b.boxes[None, :, 0::2])  # (r0, c0) per pair
+    hi = np.minimum(a.boxes[:, None, 1::2], b.boxes[None, :, 1::2])  # (r1, c1) per pair
     cand = (lo < hi).all(axis=2)
     if upper:
         cand = np.triu(cand, k=1)
     inter = np.zeros(cand.shape, dtype=np.int64)
     ii, jj = np.nonzero(cand)
-    wins = np.concatenate((lo[ii, jj], hi[ii, jj]), axis=1).tolist()
-    for i, j, (r0, c0, r1, c1) in zip(ii.tolist(), jj.tolist(), wins):
-        inter[i, j] = np.count_nonzero(ma[i][r0:r1, c0:c1] & mb[j][r0:r1, c0:c1])
+    win = lo[ii, jj]
+    # window origin in each crop, and window size
+    wins = np.concatenate((win - a.boxes[ii][:, 0::2], win - b.boxes[jj][:, 0::2],
+                           hi[ii, jj] - win), axis=1).tolist()
+    for i, j, (ar, ac, br, bc, h, w) in zip(ii.tolist(), jj.tolist(), wins):
+        inter[i, j] = np.count_nonzero(a.crops[i][ar:ar + h, ac:ac + w]
+                                       & b.crops[j][br:br + h, bc:bc + w])
     return inter
 
 
@@ -289,32 +372,41 @@ def _iou_from_counts(inter, area_a, area_b) -> np.ndarray:
                      out=np.zeros(union.shape), where=union > 0)
 
 
-def iou_matrix(masks_a, masks_b) -> np.ndarray:
-    """Pairwise IoU between two mask sequences, shape (len_a, len_b).
+def table_iou(a: MaskTable, b: MaskTable) -> np.ndarray:
+    """IoU of every mask of ``a`` against every mask of ``b``, shape
+    (len(a), len(b)).
 
     Intersections are exact integer pixel counts at any mask size. Only
-    pairs whose bounding boxes overlap are counted, each on the overlap
-    window of the two boxes, so the work is proportional to the number of
-    box-overlapping pairs times their window area, and no per-pixel array
-    beyond the masks themselves is built. Every entry is bit-equal to
-    ``iou`` of the same pair. Raises ``ValueError`` when the masks differ
-    in shape.
+    pairs whose boxes overlap are counted, each on the overlap window of
+    the two boxes, so the work is proportional to the number of
+    box-overlapping pairs times their window area. Every entry is
+    bit-equal to ``iou`` of the same pair of dense masks. Raises
+    ``ValueError`` when the tables' mask shapes differ.
     """
-    ma, ba, aa = _mask_table(masks_a)
-    mb, bb, ab = _mask_table(masks_b)
-    if ma and mb:
-        _check_same_shape(ma[0], mb[0])
-    return _iou_from_counts(_intersections(ma, ba, mb, bb), aa, ab)
+    if len(a) and len(b) and a.shape != b.shape:
+        raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
+    return _iou_from_counts(_intersections(a, b), a.areas, b.areas)
+
+
+def table_pairwise_iou(t: MaskTable) -> np.ndarray:
+    """Symmetric IoU matrix of a table against itself; bit-equal to
+    ``table_iou(t, t)`` but counts each unordered pair once."""
+    inter = _intersections(t, t, upper=True)
+    inter += inter.T
+    inter[np.diag_indices_from(inter)] = t.areas
+    return _iou_from_counts(inter, t.areas, t.areas)
+
+
+def iou_matrix(masks_a, masks_b) -> np.ndarray:
+    """Pairwise IoU between two sequences of dense masks, shape
+    (len_a, len_b): ``table_iou`` of their tables."""
+    return table_iou(MaskTable.from_dense(masks_a), MaskTable.from_dense(masks_b))
 
 
 def pairwise_iou(masks) -> np.ndarray:
-    """Symmetric IoU matrix of one mask sequence against itself; bit-equal to
-    ``iou_matrix(masks, masks)`` but counts each unordered pair once."""
-    m, boxes, areas = _mask_table(masks)
-    inter = _intersections(m, boxes, m, boxes, upper=True)
-    inter += inter.T
-    inter[np.diag_indices_from(inter)] = areas
-    return _iou_from_counts(inter, areas, areas)
+    """Symmetric IoU matrix of one sequence of dense masks against itself:
+    ``table_pairwise_iou`` of its table."""
+    return table_pairwise_iou(MaskTable.from_dense(masks))
 
 
 def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:

@@ -175,6 +175,34 @@ class TestLoadGroundTruth:
         with pytest.raises(LoadError, match=rf"^annotation .*: field '{field}' must be an integer"):
             load_ground_truth(gt_file([ann]))
 
+    @pytest.mark.parametrize("value", ["8", None, [8]])
+    def test_image_and_category_fields_reject_non_numbers(self, gt_file, value):
+        with pytest.raises(LoadError, match=rf"'images\[0\]\.height' must be an integer, got {re.escape(repr(value))}$"):
+            load_ground_truth(gt_file([], images=[{"id": 1, "height": value, "width": 8}]))
+        with pytest.raises(LoadError, match=rf"'categories\[0\]\.id' must be an integer, got {re.escape(repr(value))}$"):
+            load_ground_truth(gt_file([], categories=[{"id": value, "name": "a"}]))
+
+    @pytest.mark.parametrize("value", ["5", " 7 ", None, [1], {"id": 1}, float("inf")])
+    @pytest.mark.parametrize("field", ["id", "image_id", "category_id", "segmentation.size",
+                                       "segmentation.counts"])
+    def test_annotation_integer_fields_reject_non_numbers(self, gt_file, field, value):
+        ann = {"id": 2, "image_id": 1, "category_id": 1,
+               "segmentation": {"size": [8, 8], "counts": [10, 4, 50]}}
+        if field.startswith("segmentation."):
+            ann["segmentation"][field.split(".")[1]][0] = value
+        else:
+            ann[field] = value
+        with pytest.raises(LoadError, match=rf"^annotation .*: field '{field}' must be an integer, got {re.escape(repr(value))}$"):
+            load_ground_truth(gt_file([ann]))
+
+    @pytest.mark.parametrize("field, value", [("size", None), ("size", [8]), ("size", {"h": 8}),
+                                              ("counts", None), ("counts", 64)])
+    def test_segmentation_lists_must_be_lists(self, gt_file, field, value):
+        ann = {"id": 2, "image_id": 1, "category_id": 1,
+               "segmentation": {"size": [8, 8], "counts": [10, 4, 50], field: value}}
+        with pytest.raises(LoadError, match=rf"^annotation 2: field 'segmentation\.{field}' must be"):
+            load_ground_truth(gt_file([ann]))
+
     def test_integral_floats_load(self, gt_file):
         ann = {"id": 2.0, "image_id": 1.0, "category_id": 1.0,
                "segmentation": {"size": [8.0, 8.0], "counts": [10.0, 4, 50]}}
@@ -296,6 +324,21 @@ class TestLoadDetections:
         else:
             rec[field] = value
         with pytest.raises(LoadError, match=rf"^detection 1: field '{field}' must be an integer"):
+            load_detections(self.write_dt(tmp_path, [record(), rec]), small_dataset)
+
+    @pytest.mark.parametrize("value", ["5", None, [1], {"id": 1}])
+    @pytest.mark.parametrize("field", ["image_id", "category_id", "segmentation.size",
+                                       "segmentation.counts"])
+    def test_integer_fields_reject_non_numbers(self, tmp_path, small_dataset, field, value):
+        def record():
+            return {"image_id": 1, "category_id": 1, "score": 0.5,
+                    "segmentation": {"size": [8, 8], "counts": [10, 4, 50]}}
+        rec = record()
+        if field.startswith("segmentation."):
+            rec["segmentation"][field.split(".")[1]][0] = value
+        else:
+            rec[field] = value
+        with pytest.raises(LoadError, match=rf"^detection 1: field '{field}' must be an integer, got {re.escape(repr(value))}$"):
             load_detections(self.write_dt(tmp_path, [record(), rec]), small_dataset)
 
     def test_first_faulty_record_in_file_order(self, tmp_path, small_dataset):

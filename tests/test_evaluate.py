@@ -16,7 +16,7 @@ from hedgeval.coco import (
     ImageInfo,
 )
 from hedgeval.evaluate import EvalConfig, build_report, evaluate
-from hedgeval.mask import encode
+from hedgeval.mask import MaskTable, encode
 from hedgeval.synth import SynthConfig, generate, perfect_detector
 
 H = W = 32
@@ -116,6 +116,28 @@ class TestPerfectAndHedged:
         _, broken = evaluate(synth, dets, EvalConfig(verify=True))
         assert clean["ok"] and not broken["ok"]
         assert broken["graphs_checked"] == clean["graphs_checked"] > 0
+
+
+    def test_verify_checks_the_mask_table(self, synth, monkeypatch):
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+
+        dets = perfect_detector(synth, spatial_copies=2)
+        _, clean = evaluate(synth, dets, EvalConfig(verify=True))
+        right_table = evaluate_mod.image_table
+
+        def one_pixel_off(gts, dets):
+            # the first detection loses a pixel from its crop but not its area
+            t = right_table(gts, dets)
+            crops = list(t.crops)
+            crops[0] = crops[0].copy()
+            crops[0][tuple(np.argwhere(crops[0])[0])] = False
+            return MaskTable(t.shape, t.boxes, t.areas, tuple(crops))
+
+        monkeypatch.setattr(evaluate_mod, "image_table", one_pixel_off)
+        _, broken = evaluate(synth, dets, EvalConfig(verify=True))
+        assert clean["ok"] and not broken["ok"]
+        assert broken["images_checked"] == clean["images_checked"]
+        assert broken["graphs_checked"] == clean["graphs_checked"]
 
 
 class TestPerCategory:

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from hedgeval import mask as mask_module
 from hedgeval.mask import (
     MalformedRleError,
+    MaskTable,
     RleMask,
     compress_leb,
     decode,
@@ -23,6 +24,8 @@ from hedgeval.mask import (
     leb_counts,
     pairwise_iou,
     rasterize_polygon,
+    table_iou,
+    table_pairwise_iou,
 )
 from hedgeval.oracles import decompress_leb_naive
 
@@ -337,6 +340,102 @@ class TestSparseIou:
             iou_matrix([a], [b])
         with pytest.raises(ValueError, match="dimensions differ"):
             pairwise_iou([a, b])
+
+
+def scanned_box(m: np.ndarray):
+    """Half-open box of a dense mask by a full scan; (0, 0, 0, 0) if empty."""
+    rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+    if not rows.size:
+        return (0, 0, 0, 0)
+    return (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1)
+
+
+def edge_cases(h=5, w=7):
+    """Empty, one pixel, each border, a run across several columns, full."""
+    out = [np.zeros((h, w), dtype=bool)]
+    for r, c in ((2, 3), (0, 0), (h - 1, w - 1)):
+        m = np.zeros((h, w), dtype=bool)
+        m[r, c] = True
+        out.append(m)
+    for side in (np.s_[0, 1:4], np.s_[h - 1, 2:], np.s_[1:3, 0], np.s_[:, w - 1]):
+        m = np.zeros((h, w), dtype=bool)
+        m[side] = True
+        out.append(m)
+    m = np.zeros((h, w), dtype=bool)
+    m.T.flat[h - 2:4 * h + 1] = True  # one column-major run over five columns
+    out.append(m)
+    out.append(np.ones((h, w), dtype=bool))
+    return out
+
+
+class TestMaskTable:
+    """The table read from RLE runs against a dense decode and box scan."""
+
+    def check_entries(self, masks):
+        table = MaskTable.from_rles(encode(m) for m in masks)
+        assert len(table) == len(masks)
+        for m, box, area, crop in zip(masks, table.boxes, table.areas, table.crops):
+            want = scanned_box(m)
+            assert tuple(box) == want
+            assert area == np.count_nonzero(m)
+            r0, r1, c0, c1 = want
+            assert crop.dtype == bool and np.array_equal(crop, m[r0:r1, c0:c1])
+            # the crop holds its box's pixels only, not a view into a larger array
+            assert crop.base is None or crop.base.size == crop.size
+
+    def test_edge_cases(self):
+        self.check_entries(edge_cases())
+
+    @pytest.mark.parametrize("counts, box", [
+        ((1, 2, 0, 3, 3), (0, 3, 0, 2)),  # zero-length background between two runs
+        ((0, 4, 5, 0), (0, 3, 0, 2)),  # zero-length last foreground run
+        ((9,), (0, 0, 0, 0)),
+    ])
+    def test_zero_length_runs(self, counts, box):
+        rle = RleMask(3, 3, counts)
+        table = MaskTable.from_rles([rle])
+        assert tuple(table.boxes[0]) == box == scanned_box(decode(rle))
+        r0, r1, c0, c1 = box
+        assert np.array_equal(table.crops[0], decode(rle)[r0:r1, c0:c1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+        lambda shape: local_masks(shape, max_n=4) | st.lists(
+            arrays(dtype=bool, shape=shape, elements=st.booleans()), max_size=3)))
+    def test_entries_equal_dense_scan(self, masks):
+        self.check_entries(masks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+        lambda shape: st.tuples(local_masks(shape), local_masks(shape))))
+    def test_iou_equals_decoded_pair_iou(self, masks):
+        a, b = masks
+        ta = MaskTable.from_rles(encode(m) for m in a)
+        tb = MaskTable.from_rles(encode(m) for m in b)
+        mat, pair = table_iou(ta, tb), table_pairwise_iou(ta)
+        assert mat.shape == (len(a), len(b)) and pair.shape == (len(a), len(a))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert mat[i, j] == iou(x, y)
+            for j, y in enumerate(a):
+                assert pair[i, j] == iou(x, y)
+
+    def test_edge_case_ious_and_subtables(self):
+        masks = edge_cases()
+        table = MaskTable.from_rles(encode(m) for m in masks)
+        want = np.array([[iou(x, y) for y in masks] for x in masks])
+        assert np.array_equal(table_pairwise_iou(table), want)
+        idx = np.array([9, 0, 4, 8])
+        assert np.array_equal(table_iou(table.take(idx), table), want[idx])
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            MaskTable.from_rles([RleMask(2, 3, (6,)), RleMask(3, 2, (6,))])
+        a = MaskTable.from_rles([RleMask(2, 3, (6,))])
+        b = MaskTable.from_rles([RleMask(3, 2, (6,))])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            table_iou(a, b)
+        assert table_iou(a, MaskTable.from_rles([])).shape == (1, 0)
 
 
 class TestRasterizePolygon:
