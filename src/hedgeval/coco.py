@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -373,36 +374,49 @@ def detection_to_json(det: Detection) -> dict:
     }
 
 
+_JSON_SLICE = 256  # records per json.dumps call
+
+
+def _write_array(f, records) -> None:
+    """Write the records as the JSON array ``json.dump`` writes, byte for
+    byte. ``json.dump`` always runs the pure-Python encoder; ``json.dumps``
+    runs the C one, and a slice at a time it never holds the whole file."""
+    f.write("[")
+    records = iter(records)
+    sep = ""
+    while batch := list(islice(records, _JSON_SLICE)):
+        f.write(sep + json.dumps(batch)[1:-1])
+        sep = ", "
+    f.write("]")
+
+
 def write_detections(dets, path) -> None:
     """Write detections as a COCO results array (load_detections inverse)."""
-    records = [detection_to_json(d) for d in dets]
     with open(path, "w") as f:
-        json.dump(records, f)
+        _write_array(f, map(detection_to_json, dets))
 
 
 def write_ground_truth(dataset: Dataset, path) -> None:
     """Write a Dataset as a COCO annotation file (load_ground_truth inverse)."""
-    raw = {
-        "images": [
-            {"id": i.id, "height": i.height, "width": i.width}
-            for i in dataset.images.values()
-        ],
-        "annotations": [
-            {
-                "id": gt.instance_id,
-                "image_id": gt.image_id,
-                "category_id": gt.category_id,
-                "iscrowd": 0,
-                "area": gt.mask.area,
-                "segmentation": gt.mask.to_json(),
-            }
-            for gts in dataset.gts_by_image.values()
-            for gt in gts
-        ],
-        "categories": [{"id": c.id, "name": c.name} for c in dataset.categories.values()],
-    }
+    images = [{"id": i.id, "height": i.height, "width": i.width}
+              for i in dataset.images.values()]
+    annotations = (
+        {
+            "id": gt.instance_id,
+            "image_id": gt.image_id,
+            "category_id": gt.category_id,
+            "iscrowd": 0,
+            "area": gt.mask.area,
+            "segmentation": gt.mask.to_json(),
+        }
+        for gts in dataset.gts_by_image.values()
+        for gt in gts
+    )
+    categories = [{"id": c.id, "name": c.name} for c in dataset.categories.values()]
     with open(path, "w") as f:
-        json.dump(raw, f)
+        f.write('{"images": ' + json.dumps(images) + ', "annotations": ')
+        _write_array(f, annotations)
+        f.write(', "categories": ' + json.dumps(categories) + "}")
 
 
 def write_semantic_masks(sets, out_dir) -> None:

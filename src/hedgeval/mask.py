@@ -66,16 +66,49 @@ class RleMask:
 
 
 def encode(mask: np.ndarray) -> RleMask:
-    """Encode a binary mask as column-major alternating runs."""
+    """Encode a binary mask as column-major alternating runs.
+
+    An F-contiguous mask is scanned in place. Any other layout is scanned
+    on its bounding box alone, so the cost follows the box area, not H x W.
+    """
     mask = _as_mask(mask)
-    flat = mask.flatten(order="F")
-    # run boundaries = positions where the pixel value changes
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts.insert(0, 0)  # first run always counts background
-    return RleMask(mask.shape[0], mask.shape[1], tuple(counts))
+    h, w = mask.shape
+    if mask.flags.f_contiguous:
+        flat = mask.ravel(order="F")  # a view
+        # run boundaries = positions where the pixel value changes
+        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        counts = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
+        if flat[0]:
+            counts.insert(0, 0)  # first run always counts background
+        return RleMask(h, w, counts)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return RleMask(h, w, (h * w,))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[r0:r1].any(axis=0))
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    # scan the box with background before and after it in column-major
+    # order, so its edges (where a run starts or ends) alternate, starting
+    # with a start
+    if r1 - r0 == h:
+        # the box's columns are one span of the image, where a run may cross
+        # from one column into the next
+        flat = np.zeros(h * (c1 - c0) + 2, dtype=bool)
+        flat[1:-1].reshape((h, c1 - c0), order="F")[:] = mask[:, c0:c1]  # a view
+        edges = np.flatnonzero(flat[1:] != flat[:-1]) + c0 * h
+    else:
+        # one background row above and below the box: every run starts and
+        # ends in its own column
+        hp = r1 - r0 + 2
+        padded = np.zeros((hp, c1 - c0), dtype=bool, order="F")
+        padded[1:-1] = mask[r0:r1, c0:c1]
+        flat = padded.ravel(order="F")
+        col, row = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, hp)
+        edges = (col + c0) * h + (row - 1 + r0)  # the same positions in the image
+    counts = np.diff(np.concatenate(([0], edges, [h * w]))).tolist()
+    if counts[-1] == 0:  # the last run is foreground and ends the image
+        counts.pop()
+    return RleMask(h, w, counts)
 
 
 def _paint(runs, height: int, width: int) -> np.ndarray:
@@ -413,7 +446,8 @@ def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:
     """Scanline-fill a polygon with the even-odd rule.
 
     A pixel (row, col) is inside when its center (col + 0.5, row + 0.5)
-    is inside the polygon. Vertices are (x, y) subpixel coordinates.
+    is inside the polygon. Vertices are (x, y) subpixel coordinates. Only
+    the polygon's own rows are visited.
     """
     verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
     if verts.shape[0] < 3:
@@ -421,7 +455,15 @@ def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:
     mask = np.zeros((height, width), dtype=bool)
     x1, y1 = verts[:, 0], verts[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    for row in range(height):
+    # an edge crosses a row only when min y <= row + 0.5 < max y, so only
+    # rows floor(min y) .. ceil(max y) - 1 can hold pixels (a NaN y crosses
+    # no row)
+    ys = y1[~np.isnan(y1)]
+    if not ys.size:
+        return mask
+    row0 = int(np.clip(np.floor(ys.min()), 0, height))
+    row1 = int(np.clip(np.ceil(ys.max()), 0, height))
+    for row in range(row0, row1):
         yc = row + 0.5
         # half-open crossing test so shared vertices count once
         crosses = ((y1 <= yc) & (y2 > yc)) | ((y2 <= yc) & (y1 > yc))

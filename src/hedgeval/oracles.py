@@ -160,3 +160,31 @@ def decompress_leb_naive(s: str) -> list[int]:
             raise MalformedRleError(f"negative run length {x} at count {len(counts)}")
         counts.append(x)
     return counts
+
+
+def rasterize_polygon_naive(vertices, height: int, width: int) -> np.ndarray:
+    """Even-odd scanline fill that tests every image row.
+
+    A pixel (row, col) is inside when its center (col + 0.5, row + 0.5) is
+    inside the polygon; an edge crosses a row when one end lies at or below
+    the row center and the other above it, so a shared vertex counts once.
+    """
+    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
+    if verts.shape[0] < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got {verts.shape[0]}")
+    mask = np.zeros((height, width), dtype=bool)
+    x1, y1 = verts[:, 0], verts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    for row in range(height):
+        yc = row + 0.5
+        crosses = ((y1 <= yc) & (y2 > yc)) | ((y2 <= yc) & (y1 > yc))
+        if not crosses.any():
+            continue
+        t = (yc - y1[crosses]) / (y2[crosses] - y1[crosses])
+        xs = np.sort(x1[crosses] + t * (x2[crosses] - x1[crosses]))
+        for xa, xb in zip(xs[0::2], xs[1::2]):
+            lo = max(int(np.ceil(xa - 0.5)), 0)
+            hi = min(int(np.ceil(xb - 0.5)), width)
+            if hi > lo:
+                mask[row, lo:hi] = True
+    return mask

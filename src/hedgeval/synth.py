@@ -83,11 +83,11 @@ class SynthConfig:
             )
 
 
-def render_capsule(height: int, width: int, cx: float, cy: float,
-                   length: float, cap_width: float, theta: float) -> np.ndarray:
-    """Rasterize a capsule: pixels whose center lies within cap_width/2 of
-    the spine segment. The spine has the given length, is centered on
-    (cx, cy), and is rotated by theta radians."""
+def _capsule_box(height: int, width: int, cx: float, cy: float,
+                 length: float, cap_width: float, theta: float):
+    """The capsule of ``render_capsule`` on its clipped bounding box:
+    ``(r0, c0, local)``, where ``local`` is the bool mask of the box whose
+    top-left pixel is (r0, c0); it is empty when the box misses the image."""
     half, r = length / 2.0, cap_width / 2.0
     ux, uy = np.cos(theta), np.sin(theta)
     p0 = (cx - half * ux, cy - half * uy)
@@ -99,9 +99,8 @@ def render_capsule(height: int, width: int, cx: float, cy: float,
     c1 = min(width - 1, int(np.ceil(xmax + 0.5)))
     r0 = max(0, int(np.floor(ymin - 0.5)))
     r1 = min(height - 1, int(np.ceil(ymax + 0.5)))
-    out = np.zeros((height, width), dtype=bool)
     if c1 < c0 or r1 < r0:
-        return out
+        return 0, 0, np.zeros((0, 0), dtype=bool)
 
     xs = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5
     ys = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5
@@ -115,7 +114,17 @@ def render_capsule(height: int, width: int, cx: float, cy: float,
         t = 0.0
     dx = px - t * vx
     dy = py - t * vy
-    out[r0:r1 + 1, c0:c1 + 1] = dx * dx + dy * dy <= r * r
+    return r0, c0, dx * dx + dy * dy <= r * r
+
+
+def render_capsule(height: int, width: int, cx: float, cy: float,
+                   length: float, cap_width: float, theta: float) -> np.ndarray:
+    """Rasterize a capsule: pixels whose center lies within cap_width/2 of
+    the spine segment. The spine has the given length, is centered on
+    (cx, cy), and is rotated by theta radians."""
+    r0, c0, local = _capsule_box(height, width, cx, cy, length, cap_width, theta)
+    out = np.zeros((height, width), dtype=bool)
+    out[r0:r0 + local.shape[0], c0:c0 + local.shape[1]] = local
     return out
 
 
@@ -143,20 +152,31 @@ def generate_image(cfg: SynthConfig, image_index: int) -> list[np.ndarray]:
     Each image has its own RNG stream derived from (seed, image_index), so
     results do not depend on how generation is scheduled across images.
     """
+    return list(_visible_masks(cfg, image_index))
+
+
+def _visible_masks(cfg: SynthConfig, image_index: int):
+    """Yield the masks of ``generate_image`` one at a time. Every part is
+    painted through its own box before the first mask is yielded."""
     rng = np.random.default_rng((cfg.seed, image_index))
     canvas = np.zeros((cfg.height, cfg.width), dtype=np.int32)
+    boxes = []
     for part in range(cfg.parts_per_image):
         length = rng.uniform(*cfg.length_range)
         cap_width = rng.uniform(*cfg.width_range)
         theta = rng.uniform(0.0, np.pi)
         cx, cy = _place(cfg, rng, length, cap_width, theta)
-        canvas[render_capsule(cfg.height, cfg.width, cx, cy, length, cap_width, theta)] = part + 1
-    visible = []
-    for part in range(cfg.parts_per_image):
-        m = canvas == part + 1
-        if m.any():
-            visible.append(m)
-    return visible
+        r0, c0, local = _capsule_box(cfg.height, cfg.width, cx, cy, length, cap_width, theta)
+        box = np.s_[r0:r0 + local.shape[0], c0:c0 + local.shape[1]]
+        canvas[box][local] = part + 1
+        boxes.append(box)
+    # a part's visible pixels lie inside its own box
+    for part, box in enumerate(boxes):
+        crop = canvas[box] == part + 1
+        if crop.any():
+            m = np.zeros((cfg.height, cfg.width), dtype=bool)
+            m[box] = crop
+            yield m
 
 
 def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, SemanticMaskSet]]:
@@ -174,7 +194,7 @@ def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, Semanti
         images[image_id] = ImageInfo(image_id, cfg.height, cfg.width)
         gts = []
         union = np.zeros((cfg.height, cfg.width), dtype=bool)
-        for m in generate_image(cfg, index):
+        for m in _visible_masks(cfg, index):  # one dense mask alive at a time
             gts.append(GroundTruthInstance(image_id, ann_id, CATEGORY_ID, encode(m)))
             ann_id += 1
             union |= m
@@ -251,7 +271,8 @@ def perfect_detector(dataset: Dataset, spatial_copies: int = 0,
         rng = np.random.default_rng((seed, image_id, 1))
         dets = [Detection(image_id, gt.category_id, 1.0, gt.mask) for gt in gts]
         for gt in gts:
-            dense = decode(gt.mask)
+            if spatial_copies:
+                dense = decode(gt.mask)
             rank = 0
             for _ in range(spatial_copies):
                 rank += 1

@@ -5,8 +5,9 @@ pins the ``eval`` report (minus ``created_at``), ``prcurve`` CSVs, and the
 files ``nms --method matrix``, ``soft``, ``mask`` and ``semantic
 --semantic derive-from-gt`` keep. Each digest was recorded on the code
 before the change that it guards (the IoU paths were consolidated, then
-the semantic path and RLE ingestion were vectorised); regenerate them only
-for a change that is meant to alter an output.
+the semantic path and RLE ingestion were vectorised, then encoding and
+scene synthesis moved onto mask boxes); regenerate them only for a change
+that is meant to alter an output.
 """
 
 import hashlib
@@ -126,3 +127,26 @@ def test_outputs_match_golden_digests(scene, tmp_path, monkeypatch):
         assert result.exit_code == 0, result.output
         digests[name] = _digest(tmp_path / name)
     assert digests == GOLDEN[scene]
+
+
+# files `synth` writes for a COCO-size scene with two jittered copies per
+# instance: 640x480 images of 80 parts, so occlusion is heavy and masks
+# sit in boxes far smaller than the image
+SYNTH_COCO_ARGS = ["--n-images", "2", "--parts", "80", "--height", "480", "--width", "640",
+                   "--seed", "3", "--spatial-copies", "2"]
+SYNTH_COCO_GOLDEN = {
+    "annotations.json": "7adf492971c3465ef7a9ad0391fa52f862a85b5ce13d8359da33bcf3579c97c4",
+    "config.json": "f3c52a5089bbba59ea87a554628cb857ecdebffe4e30bd9e14808cabce80a27c",
+    "detections.json": "c02e2d5e932e035eae210006e9690d4c7a2c529b6eaebd5bfab48d5b2678bcb6",
+    "semantic/1/1.json": "676bc037a942832b4bc2fc2c8e934c966cf8dd4e5a274dd321f7017729a24a56",
+    "semantic/2/1.json": "77d2f93558f9fee3dcfa05c536947ad0f9ec8697d2bb9a06ed80e46a7b281e0f",
+}
+
+
+def test_synth_coco_size_matches_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["synth", "--out", str(out), *SYNTH_COCO_ARGS])
+    assert result.exit_code == 0, result.output
+    digests = {p.relative_to(out).as_posix(): _digest(p)
+               for p in sorted(out.rglob("*")) if p.is_file()}
+    assert digests == SYNTH_COCO_GOLDEN

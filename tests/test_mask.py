@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,7 +27,7 @@ from hedgeval.mask import (
     table_iou,
     table_pairwise_iou,
 )
-from hedgeval.oracles import decompress_leb_naive
+from hedgeval.oracles import decompress_leb_naive, rasterize_polygon_naive
 
 from _reference_rle import (
     rle_to_string_reference,
@@ -82,6 +82,80 @@ class TestRleCodec:
             rle = encode(m)
             assert np.array_equal(decode(rle), m)
             assert decompress_leb(compress_leb(rle), 512, 512) == rle
+
+
+def _in_layout(m: np.ndarray, layout: str) -> np.ndarray:
+    """The same pixels as ``m`` in another memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(m)
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "strided":  # a view with steps in both axes, neither C nor F
+        h, w = m.shape
+        big = np.zeros((2 * h, 3 * w), dtype=bool)
+        big[::2, ::3] = m
+        return big[::2, ::3]
+    assert layout == "transposed"  # the transpose of a C array: F-contiguous
+    return np.ascontiguousarray(m.T).T
+
+
+LAYOUTS = ("C", "F", "strided", "transposed")
+
+
+@st.composite
+def boxed_masks(draw, max_side=20):
+    """A mask of random pixels inside a random box of a larger image; the
+    box may touch any border, span every row or cover the whole image."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    r0, r1 = sorted(draw(st.integers(0, h)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, w)) for _ in range(2))
+    m = np.zeros((h, w), dtype=bool)
+    m[r0:r1, c0:c1] = draw(arrays(bool, (r1 - r0, c1 - c0), elements=st.booleans()))
+    return m
+
+
+class TestEncodeLayouts:
+    """``encode`` scans F-contiguous masks in place and every other layout
+    on the mask's bounding box; both must give the per-pixel runs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(boxed_masks(), st.sampled_from(LAYOUTS))
+    @example(np.zeros((5, 7), dtype=bool), "C")
+    @example(np.ones((5, 7), dtype=bool), "C")
+    @example(np.ones((1, 1), dtype=bool), "strided")
+    @example(np.eye(6, 9, k=2, dtype=bool), "C")
+    def test_matches_per_pixel_scan(self, m, layout):
+        assert list(encode(_in_layout(m, layout)).counts) == runs_from_mask_bruteforce(m)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("r, c", [(0, 0), (0, 8), (5, 0), (5, 8), (2, 4)])
+    def test_single_pixel(self, layout, r, c):
+        m = np.zeros((6, 9), dtype=bool)
+        m[r, c] = True
+        assert list(encode(_in_layout(m, layout)).counts) == runs_from_mask_bruteforce(m)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_runs_across_column_edges(self, layout):
+        # the box spans every row; runs wrap from the last row of one column
+        # into the first row of the next, and the first and last pixels are set
+        m = np.zeros((5, 6), dtype=bool)
+        m[3:, 1] = m[:2, 2] = True
+        m[4, 3] = m[:, 4] = m[0, 5] = True
+        m[0, 0] = m[4, 5] = True
+        assert list(encode(_in_layout(m, layout)).counts) == runs_from_mask_bruteforce(m)
+        assert encode(_in_layout(m, layout)).counts == (0, 1, 7, 4, 7, 7, 3, 1)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_small_mask_in_large_image(self, layout, rng):
+        m = np.zeros((480, 640), dtype=bool)
+        m[200:230, 300:310] = random_mask(rng, 30, 10)
+        assert list(encode(_in_layout(m, layout)).counts) == runs_from_mask_bruteforce(m)
+
+    def test_non_bool_masks(self, rng):
+        m = random_mask(rng, 7, 9, density=0.3)
+        for a in (m.astype(np.uint8), np.asfortranarray(m.astype(np.int32)), m.astype(float)[::-1, ::-1]):
+            assert list(encode(a).counts) == runs_from_mask_bruteforce(np.asarray(a, dtype=bool))
 
 
 class TestCountsString:
@@ -465,3 +539,34 @@ class TestRasterizePolygon:
         m = rasterize_polygon(outer + [(0, 0)] + inner, 8, 8)
         assert m[7, 0] and m[7, 7] and m[3, 0] and m[3, 6]
         assert not m[4, 4] and not m[3, 3]
+
+    def test_skips_rows_outside_the_polygon(self):
+        # a thin band: only its own rows are filled, and the result is the
+        # full-height scan's
+        poly = [(10.2, 30.4), (50.7, 30.4), (50.7, 33.9), (10.2, 33.9)]
+        m = rasterize_polygon(poly, 64, 64)
+        assert np.flatnonzero(m.any(axis=1)).tolist() == [30, 31, 32, 33]
+        assert np.array_equal(m, rasterize_polygon_naive(poly, 64, 64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24),
+           st.lists(st.tuples(st.sampled_from([-7.0, -0.5, 0.0, 2.5, 3.0, 11.25, 30.0]) | st.floats(-8, 32),
+                              st.sampled_from([-7.0, -0.5, 0.0, 2.5, 3.0, 11.25, 30.0]) | st.floats(-8, 32)),
+                    min_size=3, max_size=9))
+    def test_matches_full_height_scan(self, h, w, verts):
+        # vertices outside the image, and repeated y values that make
+        # horizontal edges, are drawn often
+        assert np.array_equal(rasterize_polygon(verts, h, w), rasterize_polygon_naive(verts, h, w))
+
+    @pytest.mark.parametrize("ys", [(np.nan, 2.0, 5.0), (np.nan, np.nan, np.nan),
+                                    (-np.inf, 2.0, 5.0), (1.0, 2.0, np.inf)])
+    def test_non_finite_ys_match_full_height_scan(self, ys):
+        verts = list(zip((1.0, 6.0, 3.0), ys))
+        with np.errstate(invalid="ignore"):
+            try:
+                want = rasterize_polygon_naive(verts, 8, 8)
+            except ValueError as e:
+                with pytest.raises(type(e)):
+                    rasterize_polygon(verts, 8, 8)
+            else:
+                assert np.array_equal(rasterize_polygon(verts, 8, 8), want)

@@ -13,9 +13,11 @@ from hedgeval.coco import (
     load_ground_truth,
     load_semantic_masks,
 )
+from hedgeval import synth
 from hedgeval.mask import decode, encode, iou
 from hedgeval.synth import (
     SynthConfig,
+    _place,
     generate,
     generate_image,
     perfect_detector,
@@ -43,6 +45,55 @@ def capsule_oracle(h, w, cx, cy, length, cap_width, theta):
             if (px - qx) ** 2 + (py - qy) ** 2 <= r * r:
                 out[row, col] = True
     return out
+
+
+def render_capsule_full_canvas(height, width, cx, cy, length, cap_width, theta):
+    """The capsule painted on a whole-image canvas, as the generator did
+    before it worked on each part's box."""
+    half, r = length / 2.0, cap_width / 2.0
+    ux, uy = np.cos(theta), np.sin(theta)
+    p0 = (cx - half * ux, cy - half * uy)
+    p1 = (cx + half * ux, cy + half * uy)
+    xmin, xmax = min(p0[0], p1[0]) - r, max(p0[0], p1[0]) + r
+    ymin, ymax = min(p0[1], p1[1]) - r, max(p0[1], p1[1]) + r
+    c0 = max(0, int(np.floor(xmin - 0.5)))
+    c1 = min(width - 1, int(np.ceil(xmax + 0.5)))
+    r0 = max(0, int(np.floor(ymin - 0.5)))
+    r1 = min(height - 1, int(np.ceil(ymax + 0.5)))
+    out = np.zeros((height, width), dtype=bool)
+    if c1 < c0 or r1 < r0:
+        return out
+    xs = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5
+    ys = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5
+    px = xs[None, :] - p0[0]
+    py = ys[:, None] - p0[1]
+    vx, vy = p1[0] - p0[0], p1[1] - p0[1]
+    seg_len2 = vx * vx + vy * vy
+    t = np.clip((px * vx + py * vy) / seg_len2, 0.0, 1.0) if seg_len2 > 0 else 0.0
+    dx = px - t * vx
+    dy = py - t * vy
+    out[r0:r1 + 1, c0:c1 + 1] = dx * dx + dy * dy <= r * r
+    return out
+
+
+def generate_image_full_canvas(cfg, image_index):
+    """Every part painted over the whole canvas and every visible mask read
+    by comparing the whole canvas: the generator before box painting."""
+    rng = np.random.default_rng((cfg.seed, image_index))
+    canvas = np.zeros((cfg.height, cfg.width), dtype=np.int32)
+    for part in range(cfg.parts_per_image):
+        length = rng.uniform(*cfg.length_range)
+        cap_width = rng.uniform(*cfg.width_range)
+        theta = rng.uniform(0.0, np.pi)
+        cx, cy = _place(cfg, rng, length, cap_width, theta)
+        canvas[render_capsule_full_canvas(cfg.height, cfg.width, cx, cy,
+                                          length, cap_width, theta)] = part + 1
+    visible = []
+    for part in range(cfg.parts_per_image):
+        m = canvas == part + 1
+        if m.any():
+            visible.append(m)
+    return visible
 
 
 class TestSynthConfig:
@@ -93,6 +144,19 @@ class TestRenderCapsule:
     def test_far_outside_image_is_empty(self):
         got = render_capsule(32, 32, 200.0, 200.0, 10.0, 4.0, 0.0)
         assert not got.any()
+
+    def test_matches_full_canvas_painting(self, rng):
+        # centres inside, across the borders and far outside the image
+        for _ in range(300):
+            h, w = rng.integers(1, 60, size=2)
+            length = rng.uniform(0.0, 40.0)
+            cap_width = rng.uniform(0.5, 12.0)
+            theta = rng.uniform(0.0, np.pi)
+            cx, cy = rng.uniform(-30.0, w + 30.0), rng.uniform(-30.0, h + 30.0)
+            got = render_capsule(h, w, cx, cy, length, cap_width, theta)
+            want = render_capsule_full_canvas(h, w, cx, cy, length, cap_width, theta)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 class TestShiftMask:
@@ -147,6 +211,25 @@ class TestGenerateImage:
         counts = [len(generate_image(cfg, index)) for index in range(50)]
         assert min(counts) < cfg.parts_per_image
         assert all(c >= 1 for c in counts)
+
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(n_images=1, seed=0),
+        SynthConfig(n_images=1, seed=13, parts_per_image=25, height=48, width=64,
+                    length_range=(14.0, 22.0), width_range=(3.0, 5.0)),
+        # COCO size with heavy occlusion: many parts are covered entirely
+        SynthConfig(n_images=1, seed=3, parts_per_image=80, height=480, width=640),
+        SynthConfig(n_images=1, seed=21, parts_per_image=80, height=96, width=96,
+                    sigma_frac=0.08, length_range=(30.0, 40.0), width_range=(8.0, 12.0)),
+    ])
+    def test_matches_full_canvas_painting(self, cfg):
+        for index in range(3):
+            got = generate_image(cfg, index)
+            want = generate_image_full_canvas(cfg, index)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.flags.c_contiguous
+                assert np.array_equal(g, w)
 
 
 class TestGenerate:
@@ -279,6 +362,18 @@ class TestPerfectDetector:
         ds, _ = generate(SynthConfig(n_images=1, seed=4))
         with pytest.raises(ValueError):
             perfect_detector(ds, **kwargs)
+
+    def test_no_copies_decodes_nothing(self, monkeypatch):
+        ds, _ = generate(SynthConfig(n_images=2, seed=4))
+
+        def no_decode(rle):
+            raise AssertionError("decode called without spatial copies")
+
+        monkeypatch.setattr(synth, "decode", no_decode)
+        dets = perfect_detector(ds, spatial_copies=0)
+        assert sum(map(len, dets.values())) == ds.n_ground_truths
+        ds2 = two_category_dataset()
+        assert len(perfect_detector(ds2, category_noise=1.0)[1]) == 4
 
     def test_deterministic_for_fixed_seed(self):
         ds, _ = generate(SynthConfig(n_images=2, seed=6))
