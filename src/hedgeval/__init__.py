@@ -28,7 +28,18 @@ from hedgeval.lrp import lrp, olrp
 from hedgeval.mask import RleMask, decode, encode, iou, iou_matrix
 from hedgeval.nms import NmsConfig, run_nms
 from hedgeval.pr import average_precision, build_pr_curve, f1_score, mean_ap
-from hedgeval.synth import SynthConfig, generate, perfect_detector
+
+# the generator loads on first use: evaluating and filtering never need it
+_SYNTH_NAMES = ("SynthConfig", "generate", "perfect_detector")
+
+
+def __getattr__(name):
+    if name in _SYNTH_NAMES:
+        from hedgeval import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DERIVE_FROM_DT",

@@ -7,7 +7,6 @@ family is scaled by 100 in printed tables only.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -16,7 +15,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .bench import run_bench
 from .coco import (
     DERIVE_FROM_DT,
     DERIVE_FROM_GT,
@@ -30,7 +28,6 @@ from .coco import (
 from .evaluate import EvalConfig, build_report, ranked_image
 from .nms import DECAYS, METHODS, SCORE_MODES, NmsConfig, run_nms
 from .pr import build_pr_curve
-from .synth import SynthConfig, generate, perfect_detector
 
 METRIC_NAMES = ("map", "ap", "f1", "dc", "ne", "lrp", "olrp", "fp-tp-curve")
 DEFAULT_METRICS = "map,f1,dc,ne,lrp,olrp"
@@ -270,6 +267,8 @@ def cmd_synth(out, n_images, parts, height, width, sigma_frac, length_range,
               width_range, seed, detections, spatial_copies, category_noise,
               conf_step, jitter_px, detector_seed):
     """Generate the synthetic part-counting dataset."""
+    from .synth import SynthConfig, generate, perfect_detector
+
     try:
         cfg = SynthConfig(n_images=n_images, parts_per_image=parts, height=height,
                           width=width, sigma_frac=sigma_frac,
@@ -308,6 +307,8 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
     Detections are ranked, capped per image and matched exactly as eval
     does for AP.
     """
+    import csv
+
     try:
         cfg = EvalConfig(iou_thrs=(iou_thr,), max_dets=max_dets)
     except ValueError as e:
@@ -347,6 +348,10 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
               help="CSV destination (default standard output).")
 def cmd_bench_nms(sizes, dup_factor, seed, repeats, out):
     """Time pairwise mask NMS against semantic NMS on hedged scenes."""
+    import csv
+
+    from .bench import run_bench
+
     try:
         rows = run_bench(sizes, dup_factor, seed, repeats)
     except ValueError as e:

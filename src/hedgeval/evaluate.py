@@ -16,7 +16,6 @@ for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -36,7 +35,6 @@ from .hedging import (
 from .lrp import lrp_from_matching, olrp_scan
 from .mask import MaskTable, decode, iou, pairwise_iou, table_iou, table_pairwise_iou
 from .matching import confidence_order, greedy_match, greedy_match_from_ious
-from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
 from .pr import (
     average_precision,
     build_pr_curve,
@@ -185,6 +183,8 @@ def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig):
 
     if cfg.threads == 1:
         return [work(i) for i in ids]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(work, ids))
 
@@ -323,6 +323,8 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
     ``cfg.dc_conf_thrs``), and the 101-point AP of every category at the
     first IoU threshold.
     """
+    from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
+
     rng = np.random.default_rng(cfg.verify_seed)
     ids = sorted(dataset.images)
     k = min(len(ids), max(1, round(0.01 * len(ids))))

@@ -87,21 +87,30 @@ def encode(mask: np.ndarray) -> RleMask:
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     cols = np.flatnonzero(mask[r0:r1].any(axis=0))
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    return encode_box(mask[r0:r1, c0:c1], r0, c0, h, w)
+
+
+def encode_box(crop: np.ndarray, r0: int, c0: int, height: int, width: int) -> RleMask:
+    """Encode the ``height`` x ``width`` mask whose pixels outside the box of
+    ``crop``, with top-left pixel (r0, c0), are all background; the same
+    runs as ``encode`` of the whole mask, at the cost of the box alone."""
+    h, w = height, width
+    bh, bw = crop.shape
     # scan the box with background before and after it in column-major
     # order, so its edges (where a run starts or ends) alternate, starting
     # with a start
-    if r1 - r0 == h:
+    if bh == h:
         # the box's columns are one span of the image, where a run may cross
         # from one column into the next
-        flat = np.zeros(h * (c1 - c0) + 2, dtype=bool)
-        flat[1:-1].reshape((h, c1 - c0), order="F")[:] = mask[:, c0:c1]  # a view
+        flat = np.zeros(h * bw + 2, dtype=bool)
+        flat[1:-1].reshape((h, bw), order="F")[:] = crop  # a view
         edges = np.flatnonzero(flat[1:] != flat[:-1]) + c0 * h
     else:
         # one background row above and below the box: every run starts and
         # ends in its own column
-        hp = r1 - r0 + 2
-        padded = np.zeros((hp, c1 - c0), dtype=bool, order="F")
-        padded[1:-1] = mask[r0:r1, c0:c1]
+        hp = bh + 2
+        padded = np.zeros((hp, bw), dtype=bool, order="F")
+        padded[1:-1] = crop
         flat = padded.ravel(order="F")
         col, row = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, hp)
         edges = (col + c0) * h + (row - 1 + r0)  # the same positions in the image

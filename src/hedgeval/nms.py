@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import decode, pairwise_iou
+from .mask import RleMask, decode, pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -63,6 +63,7 @@ def mask_nms(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
     harness measures.
     """
     categories = np.asarray(categories)
+    areas = [np.count_nonzero(m) for m in masks]
     kept: list[int] = []
     for k in confidence_order(scores):
         suppressed = False
@@ -71,7 +72,7 @@ def mask_nms(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
                 continue
             inter = np.count_nonzero(masks[j] & masks[k])
             if inter:
-                union = np.count_nonzero(masks[j]) + np.count_nonzero(masks[k]) - inter
+                union = areas[j] + areas[k] - inter
                 if inter / union >= iou_thr:
                     suppressed = True
                     break
@@ -145,14 +146,30 @@ def _memory_order(a: np.ndarray) -> tuple[np.ndarray, bool]:
     return a.ravel(order="F" if fortran else "C"), fortran
 
 
-def _pixels(mask: np.ndarray, shape, fortran: bool) -> np.ndarray:
+def _run_positions(counts) -> np.ndarray:
+    """Column-major positions of the foreground pixels of RLE ``counts``:
+    each pixel's rank among the foreground pixels plus the background
+    before its run."""
+    counts = np.asarray(counts, dtype=np.intp)
+    lens = counts[1::2]
+    before = np.cumsum(counts[0::2])[:lens.size]
+    return np.arange(lens.sum()) + np.repeat(before, lens)
+
+
+def _pixels(mask, shape, fortran: bool) -> np.ndarray:
     """Flat positions of the mask's pixels in a budget of ``shape`` and the
-    given layout: one scan of the mask's own memory, with positions
-    converted only when the two layouts differ."""
-    if mask.shape != shape:
-        raise ValueError(f"mask shape {mask.shape} differs from semantic mask shape {shape}")
-    flat, mask_fortran = _memory_order(mask)
-    idx = np.flatnonzero(flat)
+    given layout. A dense mask is scanned once in its own memory order, an
+    ``RleMask`` is read from its foreground runs (column-major) with no
+    decode; positions are converted only when the two layouts differ."""
+    rle = isinstance(mask, RleMask)
+    mask_shape = (mask.height, mask.width) if rle else mask.shape
+    if mask_shape != shape:
+        raise ValueError(f"mask shape {mask_shape} differs from semantic mask shape {shape}")
+    if rle:
+        idx, mask_fortran = _run_positions(mask.counts), True
+    else:
+        flat, mask_fortran = _memory_order(mask)
+        idx = np.flatnonzero(flat)
     if mask_fortran != fortran:
         h, w = shape
         if mask_fortran:
@@ -171,8 +188,9 @@ def semantic_sort(masks, scores, categories, semantic: dict[int, np.ndarray]):
     high precision rewards detections inside their class region, low IoU
     penalises ones pretending to be the whole region. Returns (order,
     combined) with ties broken by original tau, then ingestion order. A
-    category with no semantic mask counts as an empty mask. Each detection
-    touches only its own pixels of the semantic mask.
+    category with no semantic mask counts as an empty mask. ``masks`` are
+    dense bool arrays or ``RleMask`` runs; each detection touches only its
+    own pixels of the semantic mask.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
@@ -198,9 +216,10 @@ def semantic_nms(masks, categories, semantic: dict[int, np.ndarray], thr: float 
     """Single-pass occupancy suppression over pre-sorted detections.
 
     ``semantic`` is the working budget and is consumed in place, in either
-    memory layout; pass copies if the originals matter. Returns
-    per-detection keep flags in the given order. No detection is ever
-    compared against another one, and each touches only its own pixels.
+    memory layout; pass copies if the originals matter. ``masks`` are dense
+    bool arrays or ``RleMask`` runs. Returns per-detection keep flags in the
+    given order. No detection is ever compared against another one, and each
+    touches only its own pixels.
     """
     budgets = {c: (*_memory_order(m), m.shape) for c, m in semantic.items()}
     keep: list[bool] = []
@@ -223,7 +242,7 @@ def semantic_nms(masks, categories, semantic: dict[int, np.ndarray], thr: float 
 
 
 def _semantic_pass(dets: list[Detection], sem_set: SemanticMaskSet, cfg: NmsConfig) -> list[Detection]:
-    masks = [decode(d.mask) for d in dets]
+    masks = [d.mask for d in dets]  # read as runs, never decoded
     scores = [d.score for d in dets]
     categories = [d.category_id for d in dets]
     order, combined = semantic_sort(masks, scores, categories, sem_set.masks)

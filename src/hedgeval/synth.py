@@ -29,7 +29,7 @@ from .coco import (
     write_ground_truth,
     write_semantic_masks,
 )
-from .mask import decode, encode
+from .mask import MaskTable, RleMask, encode_box
 
 CATEGORY_ID = 1
 CATEGORY_NAME = "nail"
@@ -152,12 +152,17 @@ def generate_image(cfg: SynthConfig, image_index: int) -> list[np.ndarray]:
     Each image has its own RNG stream derived from (seed, image_index), so
     results do not depend on how generation is scheduled across images.
     """
-    return list(_visible_masks(cfg, image_index))
+    masks = []
+    for r0, c0, crop in _visible_parts(cfg, image_index):
+        m = np.zeros((cfg.height, cfg.width), dtype=bool)
+        m[r0:r0 + crop.shape[0], c0:c0 + crop.shape[1]] = crop
+        masks.append(m)
+    return masks
 
 
-def _visible_masks(cfg: SynthConfig, image_index: int):
-    """Yield the masks of ``generate_image`` one at a time. Every part is
-    painted through its own box before the first mask is yielded."""
+def _visible_parts(cfg: SynthConfig, image_index: int):
+    """Yield the masks of ``generate_image`` as ``(r0, c0, crop)``: each
+    part's visible pixels on its own box, whose top-left pixel is (r0, c0)."""
     rng = np.random.default_rng((cfg.seed, image_index))
     canvas = np.zeros((cfg.height, cfg.width), dtype=np.int32)
     boxes = []
@@ -169,14 +174,12 @@ def _visible_masks(cfg: SynthConfig, image_index: int):
         r0, c0, local = _capsule_box(cfg.height, cfg.width, cx, cy, length, cap_width, theta)
         box = np.s_[r0:r0 + local.shape[0], c0:c0 + local.shape[1]]
         canvas[box][local] = part + 1
-        boxes.append(box)
+        boxes.append((r0, c0, box))
     # a part's visible pixels lie inside its own box
-    for part, box in enumerate(boxes):
+    for part, (r0, c0, box) in enumerate(boxes):
         crop = canvas[box] == part + 1
         if crop.any():
-            m = np.zeros((cfg.height, cfg.width), dtype=bool)
-            m[box] = crop
-            yield m
+            yield r0, c0, crop
 
 
 def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, SemanticMaskSet]]:
@@ -194,10 +197,11 @@ def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, Semanti
         images[image_id] = ImageInfo(image_id, cfg.height, cfg.width)
         gts = []
         union = np.zeros((cfg.height, cfg.width), dtype=bool)
-        for m in _visible_masks(cfg, index):  # one dense mask alive at a time
-            gts.append(GroundTruthInstance(image_id, ann_id, CATEGORY_ID, encode(m)))
+        for r0, c0, crop in _visible_parts(cfg, index):
+            rle = encode_box(crop, r0, c0, cfg.height, cfg.width)
+            gts.append(GroundTruthInstance(image_id, ann_id, CATEGORY_ID, rle))
             ann_id += 1
-            union |= m
+            union[r0:r0 + crop.shape[0], c0:c0 + crop.shape[1]] |= crop
         gts_by_image[image_id] = gts
         masks = {CATEGORY_ID: union} if union.any() else {}
         semantic[image_id] = SemanticMaskSet(image_id, masks)
@@ -219,25 +223,54 @@ def shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Translate a mask by whole pixels, filling vacated space with zeros."""
     h, w = mask.shape
     out = np.zeros_like(mask)
-    out[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
-        mask[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
+    if abs(dy) < h and abs(dx) < w:  # otherwise everything falls off the image
+        out[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
+            mask[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
     return out
 
 
-def _jittered(dense: np.ndarray, rng: np.random.Generator, jitter_px: int) -> np.ndarray:
-    offsets = [(dy, dx)
-               for dy in range(-jitter_px, jitter_px + 1)
-               for dx in range(-jitter_px, jitter_px + 1)
-               if (dy, dx) != (0, 0)]
-    area = np.count_nonzero(dense)
-    for i in rng.permutation(len(offsets)):
-        dy, dx = offsets[i]
-        shifted = shift_mask(dense, dy, dx)
-        inter = np.count_nonzero(shifted & dense)
-        union = area + np.count_nonzero(shifted) - inter
-        if union and inter / union >= JITTER_MIN_IOU:
-            return shifted
-    return dense.copy()
+def _jittered(rle: RleMask, table: MaskTable, i: int, rng: np.random.Generator, offsets):
+    """A copy of mask ``i`` of ``table`` (whose runs are ``rle``) moved by the
+    first of the ``offsets``, taken in a random order, whose copy keeps IoU
+    ``JITTER_MIN_IOU`` with the mask, pixels moved off the image dropped;
+    the mask itself when no offset qualifies.
+
+    Every try is scored on windows of the mask's box crop. The winner is
+    encoded from its crop, unless it stays inside the image, where it is a
+    pure translation in column-major order: the mask's own runs with the
+    first (background) run lengthened and the last one shortened by the
+    shift.
+    """
+    h, w = rle.height, rle.width
+    r0, r1, c0, c1 = table.boxes[i].tolist()
+    bh, bw = r1 - r0, c1 - c0
+    area = int(table.areas[i])
+    crop = table.crops[i]
+    for k in rng.permutation(len(offsets)):
+        dy, dx = offsets[k]
+        inter = 0
+        if abs(dy) < bh and abs(dx) < bw:
+            inter = np.count_nonzero(
+                crop[max(dy, 0):bh + min(dy, 0), max(dx, 0):bw + min(dx, 0)]
+                & crop[max(-dy, 0):bh + min(-dy, 0), max(-dx, 0):bw + min(-dx, 0)])
+        # the crop rows and columns that stay inside the image once moved
+        y0, x0 = max(0, -(r0 + dy)), max(0, -(c0 + dx))
+        y1, x1 = max(y0, min(bh, h - (r0 + dy))), max(x0, min(bw, w - (c0 + dx)))
+        inside = (y0, y1, x0, x1) == (0, bh, 0, bw)
+        kept = crop[y0:y1, x0:x1]
+        union = area + (area if inside else np.count_nonzero(kept)) - inter
+        if not (union and inter / union >= JITTER_MIN_IOU):
+            continue
+        if inside and min(rle.counts[1:], default=1) > 0:  # canonical runs translate exactly
+            shift = dy + dx * h
+            counts = list(rle.counts) + ([0] if len(rle.counts) % 2 == 0 else [])
+            counts[0] += shift
+            counts[-1] -= shift
+            if counts[-1] == 0:
+                counts.pop()
+            return RleMask(h, w, counts)
+        return encode_box(kept, r0 + dy + y0, c0 + dx + x0, h, w)
+    return encode_box(crop, r0, c0, h, w)
 
 
 def perfect_detector(dataset: Dataset, spatial_copies: int = 0,
@@ -265,18 +298,21 @@ def perfect_detector(dataset: Dataset, spatial_copies: int = 0,
     if category_noise > 0 and len(dataset.categories) < 2:
         raise ValueError("category_noise requires at least two categories in the dataset")
 
+    offsets = [(dy, dx)
+               for dy in range(-jitter_px, jitter_px + 1)
+               for dx in range(-jitter_px, jitter_px + 1)
+               if (dy, dx) != (0, 0)]
     out: dict[int, list[Detection]] = {}
     for image_id in dataset.images:
         gts = dataset.gts_by_image.get(image_id, [])
         rng = np.random.default_rng((seed, image_id, 1))
         dets = [Detection(image_id, gt.category_id, 1.0, gt.mask) for gt in gts]
-        for gt in gts:
-            if spatial_copies:
-                dense = decode(gt.mask)
+        table = MaskTable.from_rles(gt.mask for gt in gts) if spatial_copies else None
+        for i, gt in enumerate(gts):
             rank = 0
             for _ in range(spatial_copies):
                 rank += 1
-                copy = encode(_jittered(dense, rng, jitter_px))
+                copy = _jittered(gt.mask, table, i, rng, offsets)
                 dets.append(Detection(image_id, gt.category_id, 1.0 - conf_step * rank, copy))
             if category_noise > 0 and rng.random() < category_noise:
                 rank += 1

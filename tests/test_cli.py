@@ -4,6 +4,9 @@ import csv
 import io
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,3 +274,27 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench-nms", "--sizes", "101"])
         assert result.exit_code == 2
         assert "multiple" in result.stderr
+
+
+class TestImports:
+    def test_cli_loads_only_what_eval_and_nms_run(self):
+        # the traced modules load with the CLI; the generator, the NMS
+        # timing harness and the brute-force references load on first use
+        import hedgeval
+
+        src = str(Path(hedgeval.__file__).resolve().parent.parent)
+        code = ("import json, sys; import hedgeval.cli; "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hedgeval.'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = set(json.loads(out.stdout))
+        eager = {"coco", "mask", "matching", "pr", "lrp", "hedging", "evaluate", "nms"}
+        assert {f"hedgeval.{m}" for m in eager} <= loaded
+        assert not {"hedgeval.synth", "hedgeval.bench", "hedgeval.oracles"} & loaded
+
+    def test_package_still_exports_the_generator(self):
+        from hedgeval import SynthConfig, generate, perfect_detector
+        from hedgeval import synth
+
+        assert (SynthConfig, generate, perfect_detector) == (
+            synth.SynthConfig, synth.generate, synth.perfect_detector)

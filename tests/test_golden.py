@@ -22,10 +22,12 @@ from hedgeval.coco import (
     CategoryInfo,
     Dataset,
     GroundTruthInstance,
+    ImageInfo,
     write_detections,
     write_ground_truth,
 )
-from hedgeval.synth import SynthConfig, generate, perfect_detector
+from hedgeval.mask import encode
+from hedgeval.synth import SynthConfig, generate, perfect_detector, render_capsule
 
 SMALL_PARTS = {"length_range": (14.0, 22.0), "width_range": (3.0, 5.0)}
 
@@ -143,10 +145,67 @@ SYNTH_COCO_GOLDEN = {
 }
 
 
-def test_synth_coco_size_matches_golden_digests(tmp_path):
+# files `synth` writes for the default 256x256 scene with four copies per
+# instance jittered up to 3 px
+SYNTH_HEDGED_ARGS = ["--n-images", "3", "--spatial-copies", "4", "--jitter-px", "3", "--seed", "5"]
+SYNTH_HEDGED_GOLDEN = {
+    "annotations.json": "3de88edd3698094082198a54698dc6d93db7b85c7e0d3f7b039f163dd306e42d",
+    "config.json": "5a9a5b0da96c61e9b63429e843cdef7894b6be506d956b0943bc9949e551a0fb",
+    "detections.json": "94b8652dcb0ab1784bed579578aaa78029c72e555bef8cc80bce9f1b2d932a84",
+    "semantic/1/1.json": "d407c41d6cde2b7a586376bf4e9db73eaa903649941315e6b2d8b218c1a486f7",
+    "semantic/2/1.json": "22de6a3c0b9f26e156fc87a7a1cef2d6a438a3ce9648b495bbfccc9708e44135",
+    "semantic/3/1.json": "3bb9ed7e70cd87d12f90468b2b98aba40503b49e742033506e2c9076babdb6b4",
+}
+
+
+def _synth_digests(args, tmp_path):
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["synth", "--out", str(out), *SYNTH_COCO_ARGS])
+    result = CliRunner().invoke(main, ["synth", "--out", str(out), *args])
     assert result.exit_code == 0, result.output
-    digests = {p.relative_to(out).as_posix(): _digest(p)
-               for p in sorted(out.rglob("*")) if p.is_file()}
-    assert digests == SYNTH_COCO_GOLDEN
+    return {p.relative_to(out).as_posix(): _digest(p)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_synth_coco_size_matches_golden_digests(tmp_path):
+    assert _synth_digests(SYNTH_COCO_ARGS, tmp_path) == SYNTH_COCO_GOLDEN
+
+
+def test_synth_hedged_matches_golden_digests(tmp_path):
+    assert _synth_digests(SYNTH_HEDGED_ARGS, tmp_path) == SYNTH_HEDGED_GOLDEN
+
+
+def border_scene():
+    """One 48x64 image whose parts sit on the image border, so most
+    jittered copies are clipped by it: capsules centred on each edge and
+    corner, a full-height bar and a part holding the last pixel."""
+    h, w = 48, 64
+    rng = np.random.default_rng(23)
+    masks = []
+    for _ in range(24):
+        edge = rng.integers(4)
+        t = rng.uniform(0.0, 1.0)
+        cx, cy = ((t * w, 0.0), (t * w, h), (0.0, t * h), (w, t * h))[edge]
+        masks.append(render_capsule(h, w, cx + rng.uniform(-2.0, 2.0), cy + rng.uniform(-2.0, 2.0),
+                                    rng.uniform(4.0, 16.0), rng.uniform(2.0, 6.0),
+                                    rng.uniform(0.0, np.pi)))
+    bar = np.zeros((h, w), dtype=bool)
+    bar[:, 30:33] = True
+    corner = np.zeros((h, w), dtype=bool)
+    corner[h - 5:, w - 4:] = True
+    masks += [bar, corner]
+    gts = [GroundTruthInstance(1, i + 1, 1, encode(m)) for i, m in enumerate(masks) if m.any()]
+    dataset = Dataset({1: ImageInfo(1, h, w)}, {1: CategoryInfo(1, "part")}, {1: gts})
+    return dataset, perfect_detector(dataset, spatial_copies=3, jitter_px=4, seed=23)
+
+
+BORDER_GOLDEN = {
+    "gt.json": "b99d69d415f8fa4812e231d8d0336612bce5262c5e3b27b3675fcee0e55fcb95",
+    "dt.json": "81e604a2be2ad0e480519660cd6520c0f550c72099aaa687948cf2845ca314cf",
+}
+
+
+def test_border_scene_matches_golden_digests(tmp_path):
+    dataset, dets = border_scene()
+    write_ground_truth(dataset, tmp_path / "gt.json")
+    write_detections(dets[1], tmp_path / "dt.json")
+    assert {name: _digest(tmp_path / name) for name in ("gt.json", "dt.json")} == BORDER_GOLDEN

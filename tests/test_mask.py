@@ -19,6 +19,7 @@ from hedgeval.mask import (
     decode,
     decompress_leb,
     encode,
+    encode_box,
     iou,
     iou_matrix,
     leb_counts,
@@ -151,6 +152,22 @@ class TestEncodeLayouts:
         m = np.zeros((480, 640), dtype=bool)
         m[200:230, 300:310] = random_mask(rng, 30, 10)
         assert list(encode(_in_layout(m, layout)).counts) == runs_from_mask_bruteforce(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_masks(), st.data())
+    def test_box_encoder_on_any_enclosing_box(self, m, data):
+        # any box that holds every foreground pixel gives the whole mask's
+        # runs: tight, wider, every row or empty, touching any border
+        h, w = m.shape
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        lo_r = int(rows[0]) if rows.size else h
+        lo_c = int(cols[0]) if cols.size else w
+        r0 = data.draw(st.integers(0, lo_r))
+        r1 = data.draw(st.integers(int(rows[-1]) + 1 if rows.size else r0, h))
+        c0 = data.draw(st.integers(0, lo_c))
+        c1 = data.draw(st.integers(int(cols[-1]) + 1 if cols.size else c0, w))
+        crop = m[r0:r1, c0:c1]
+        assert list(encode_box(crop, r0, c0, h, w).counts) == runs_from_mask_bruteforce(m)
 
     def test_non_bool_masks(self, rng):
         m = random_mask(rng, 7, 9, density=0.3)

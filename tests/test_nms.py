@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeval.coco import Detection, SemanticMaskSet
-from hedgeval.mask import decode, encode, iou, iou_matrix
+from hedgeval.mask import RleMask, decode, encode, iou, iou_matrix
 from hedgeval.nms import (
     NmsConfig,
     mask_nms,
@@ -79,6 +79,22 @@ class TestMaskNms:
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
         assert mask_nms([a, b], [0.9, 0.8], [1, 1], 0.5) == [0, 1]
         assert mask_nms([a, b], [0.9, 0.8], [1, 1], 0.3) == [0]
+
+    def test_matches_greedy_over_pairwise_iou(self, rng):
+        # thresholds taken from the IoUs themselves, so ties with the
+        # threshold suppress
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            masks = [random_mask(rng, 6, 6, rng.random()) for _ in range(n)]
+            scores = rng.random(n)
+            cats = rng.integers(1, 3, size=n)
+            ious = iou_matrix(masks, masks)
+            for thr in {float(v) for v in ious.ravel() if 0 < v < 1} or {0.5}:
+                kept = []
+                for k in np.argsort(-scores, kind="stable"):
+                    if all(cats[j] != cats[k] or ious[j, k] < thr for j in kept):
+                        kept.append(int(k))
+                assert mask_nms(masks, scores, cats, thr) == sorted(kept)
 
 
 class TestMatrixNms:
@@ -355,6 +371,42 @@ class TestSemanticLayouts:
         for c in sem:  # consumed in place, layout kept
             assert np.array_equal(laid_sem[c], ref_budget[c])
             assert laid_sem[c].flags[f"{budget_order}_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("budget_order", ["C", "F"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_runs_agree_with_dense_masks(self, budget_order, seed, n):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        masks = [random_mask(rng, h, w, rng.random()) for _ in range(n)]
+        scores = rng.random(n)
+        cats = rng.integers(1, 4, size=n).tolist()  # category 3 has no semantic mask
+        sem = {c: random_mask(rng, h, w, rng.random()) for c in (1, 2)}
+        ref_order, ref_combined = semantic_sort(masks, scores, cats, sem)
+        ref_budget = {c: m.copy() for c, m in sem.items()}
+        ref_keep = semantic_nms([masks[i] for i in ref_order], [cats[i] for i in ref_order],
+                                ref_budget)
+
+        rles = []
+        for m in masks:
+            counts = list(encode(m).counts)
+            if rng.random() < 0.5:  # zero-length runs hold no pixels
+                at = int(rng.integers(0, len(counts) + 1))
+                counts[at:at] = [0, 0]
+            rles.append(RleMask(h, w, counts))
+        laid_sem = {c: np.array(m, order=budget_order) for c, m in sem.items()}
+        order, combined = semantic_sort(rles, scores, cats, laid_sem)
+        assert order.tolist() == ref_order.tolist()
+        assert combined.tolist() == ref_combined.tolist()
+        keep = semantic_nms([rles[i] for i in order], [cats[i] for i in order], laid_sem)
+        assert keep == ref_keep
+        for c in sem:
+            assert np.array_equal(laid_sem[c], ref_budget[c])
+
+    def test_runs_of_another_shape_are_rejected(self):
+        sem = {1: np.ones((4, 5), dtype=bool)}
+        with pytest.raises(ValueError, match="differs from semantic mask shape"):
+            semantic_nms([RleMask(5, 4, (20,))], [1], sem)
 
     def test_column_major_budget_consumed_in_place(self):
         obj = box(8, 8, 2, 2, 4, 4)

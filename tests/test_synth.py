@@ -4,17 +4,24 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hedgeval.cli import main
 from hedgeval.coco import (
     CategoryInfo,
     Dataset,
     GroundTruthInstance,
     ImageInfo,
+    load_detections,
     load_ground_truth,
     load_semantic_masks,
 )
+from hedgeval import mask as mask_module
 from hedgeval import synth
-from hedgeval.mask import decode, encode, iou
+from hedgeval.mask import RleMask, decode, encode, iou
 from hedgeval.synth import (
     SynthConfig,
     _place,
@@ -96,6 +103,35 @@ def generate_image_full_canvas(cfg, image_index):
     return visible
 
 
+def jittered_dense(dense, rng, jitter_px):
+    """The jitter search on whole-image masks, as the detector ran it before
+    it worked on boxes and runs: every try shifts the whole mask."""
+    offsets = [(dy, dx)
+               for dy in range(-jitter_px, jitter_px + 1)
+               for dx in range(-jitter_px, jitter_px + 1)
+               if (dy, dx) != (0, 0)]
+    area = np.count_nonzero(dense)
+    for i in rng.permutation(len(offsets)):
+        dy, dx = offsets[i]
+        shifted = shift_mask(dense, dy, dx)
+        inter = np.count_nonzero(shifted & dense)
+        union = area + np.count_nonzero(shifted) - inter
+        if union and inter / union >= synth.JITTER_MIN_IOU:
+            return shifted
+    return dense.copy()
+
+
+def spatial_copies_dense(dataset, spatial_copies, jitter_px, seed):
+    """Per image, the runs of every jittered copy, from dense masks."""
+    out = {}
+    for image_id in dataset.images:
+        rng = np.random.default_rng((seed, image_id, 1))
+        out[image_id] = [encode(jittered_dense(decode(gt.mask), rng, jitter_px)).counts
+                         for gt in dataset.gts_by_image.get(image_id, [])
+                         for _ in range(spatial_copies)]
+    return out
+
+
 class TestSynthConfig:
     def test_defaults_are_valid(self):
         SynthConfig()
@@ -170,6 +206,12 @@ class TestShiftMask:
         m = np.ones((3, 3), dtype=bool)
         assert shift_mask(m, 2, 0).sum() == 3
         assert shift_mask(m, 3, 0).sum() == 0
+
+    @pytest.mark.parametrize("dy, dx", [(4, 0), (-4, 0), (0, 5), (0, -5), (9, -9), (100, 1)])
+    def test_shift_beyond_the_image_is_empty(self, dy, dx):
+        m = np.ones((4, 5), dtype=bool)
+        got = shift_mask(m, dy, dx)
+        assert got.shape == m.shape and got.dtype == m.dtype and not got.any()
 
     def test_interior_round_trip(self, rng):
         m = np.zeros((12, 12), dtype=bool)
@@ -293,6 +335,45 @@ def two_category_dataset():
     )
 
 
+BORDERS = ("top", "bottom", "left", "right", "last pixel", "full height")
+
+
+@st.composite
+def jitter_datasets(draw):
+    """One image of up to four random masks up to 11x11, each inside a
+    random box, optionally touching chosen borders (the last pixel, every
+    row), some with zero-length runs in their RLE."""
+    h, w = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    gts = []
+    for k in range(draw(st.integers(1, 4))):
+        r0, r1 = sorted(draw(st.integers(0, h)) for _ in range(2))
+        c0, c1 = sorted(draw(st.integers(0, w)) for _ in range(2))
+        m = np.zeros((h, w), dtype=bool)
+        m[r0:r1, c0:c1] = draw(arrays(bool, (r1 - r0, c1 - c0), elements=st.booleans()))
+        row, col = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        for border in draw(st.sets(st.sampled_from(BORDERS))):
+            if border == "top":
+                m[0, col] = True
+            elif border == "bottom":
+                m[h - 1, col] = True
+            elif border == "left":
+                m[row, 0] = True
+            elif border == "right":
+                m[row, w - 1] = True
+            elif border == "last pixel":
+                m[h - 1, w - 1] = True
+            else:
+                m[0, col] = m[h - 1, draw(st.integers(0, w - 1))] = True
+        counts = list(encode(m).counts)
+        if draw(st.booleans()):  # the same pixels with zero-length runs
+            at = draw(st.integers(0, len(counts)))
+            counts[at:at] = [0, 0]
+            if draw(st.booleans()):
+                counts.append(0)
+        gts.append(GroundTruthInstance(1, k + 1, 1, RleMask(h, w, counts)))
+    return Dataset({1: ImageInfo(1, h, w)}, {1: CategoryInfo(1, "a")}, {1: gts})
+
+
 class TestPerfectDetector:
     def test_plain_output_mirrors_ground_truth(self):
         ds, _ = generate(SynthConfig(n_images=3, seed=4))
@@ -336,6 +417,60 @@ class TestPerfectDetector:
         dets = perfect_detector(ds, spatial_copies=2)
         assert all(d.mask == encode(dot) for d in dets[1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(jitter_datasets(), st.integers(1, 14), st.integers(1, 3), st.integers(0, 2**16))
+    def test_copies_match_dense_jitter(self, ds, jitter_px, copies, seed):
+        # jitter_px reaches past the image size; every copy is a translated
+        # run list, a clipped crop or the fallback, and all must equal the
+        # canonical runs of the whole-image search
+        dets = perfect_detector(ds, spatial_copies=copies, jitter_px=jitter_px, seed=seed)
+        n = len(ds.gts_by_image[1])
+        got = [d.mask.counts for d in dets[1][n:]]
+        assert got == spatial_copies_dense(ds, copies, jitter_px, seed)[1]
+
+    def test_copies_that_reach_or_leave_the_last_pixel(self):
+        # a block one row above the bottom-right corner moves onto it (its
+        # last background run shrinks to nothing), a block on the corner
+        # moves off it (a background run is appended), and a full-height
+        # bar moves sideways
+        h, w = 9, 7
+        near, corner, bar = (np.zeros((h, w), dtype=bool) for _ in range(3))
+        near[h - 5:h - 1, w - 4:] = True
+        corner[h - 4:, w - 4:] = True
+        bar[:, 2:4] = True
+        gts = [GroundTruthInstance(1, k + 1, 1, encode(m)) for k, m in enumerate((near, corner, bar))]
+        ds = Dataset({1: ImageInfo(1, h, w)}, {1: CategoryInfo(1, "a")}, {1: gts})
+        holds_last = set()
+        for seed in range(12):
+            dets = perfect_detector(ds, spatial_copies=3, jitter_px=1, seed=seed)
+            got = [d.mask.counts for d in dets[1][3:]]
+            assert got == spatial_copies_dense(ds, 3, 1, seed)[1]
+            holds_last |= {(k // 3, len(c) % 2 == 0) for k, c in enumerate(got)}
+        assert {(0, True), (1, False)} <= holds_last
+
+    def test_copies_match_dense_jitter_on_generated_scenes(self):
+        for cfg, copies, jitter_px in [
+                (SynthConfig(n_images=3, seed=8), 4, 2),
+                (SynthConfig(n_images=2, parts_per_image=25, height=48, width=64, seed=13,
+                             sigma_frac=1.0, length_range=(8.0, 12.0),
+                             width_range=(3.0, 5.0)), 3, 5)]:
+            ds, _ = generate(cfg)
+            dets = perfect_detector(ds, spatial_copies=copies, jitter_px=jitter_px, seed=3)
+            want = spatial_copies_dense(ds, copies, jitter_px, 3)
+            for image_id, gts in ds.gts_by_image.items():
+                assert [d.mask.counts for d in dets[image_id][len(gts):]] == want[image_id]
+
+    def test_jitter_beyond_the_image_from_the_cli(self, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "synth", "--out", str(out), "--n-images", "1", "--parts", "3",
+            "--height", "96", "--width", "96", "--length-range", "20,30",
+            "--width-range", "4,6", "--spatial-copies", "1", "--jitter-px", "100"])
+        assert result.exit_code == 0, result.output
+        ds = load_ground_truth(out / "annotations.json")
+        dets = load_detections(out / "detections.json", ds)
+        assert dets.n_loaded == 2 * ds.n_ground_truths > 0
+
     def test_category_noise_adds_relabeled_copies(self):
         ds = two_category_dataset()
         dets = perfect_detector(ds, category_noise=1.0)
@@ -366,14 +501,22 @@ class TestPerfectDetector:
     def test_no_copies_decodes_nothing(self, monkeypatch):
         ds, _ = generate(SynthConfig(n_images=2, seed=4))
 
-        def no_decode(rle):
-            raise AssertionError("decode called without spatial copies")
+        def no_table(rles):
+            raise AssertionError("mask table built without spatial copies")
 
-        monkeypatch.setattr(synth, "decode", no_decode)
-        dets = perfect_detector(ds, spatial_copies=0)
-        assert sum(map(len, dets.values())) == ds.n_ground_truths
-        ds2 = two_category_dataset()
-        assert len(perfect_detector(ds2, category_noise=1.0)[1]) == 4
+        def no_decode(rle):
+            raise AssertionError("decode called for a jittered copy")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(synth.MaskTable, "from_rles", no_table)
+            dets = perfect_detector(ds, spatial_copies=0)
+            assert sum(map(len, dets.values())) == ds.n_ground_truths
+            ds2 = two_category_dataset()
+            assert len(perfect_detector(ds2, category_noise=1.0)[1]) == 4
+        monkeypatch.setattr(mask_module, "decode", no_decode)
+        monkeypatch.setattr(synth, "decode", no_decode, raising=False)
+        dets = perfect_detector(ds, spatial_copies=2)
+        assert sum(map(len, dets.values())) == 3 * ds.n_ground_truths
 
     def test_deterministic_for_fixed_seed(self):
         ds, _ = generate(SynthConfig(n_images=2, seed=6))
