@@ -1,11 +1,12 @@
 """Timing harness contrasting pairwise mask NMS with single-pass semantic NMS.
 
 The scene is the pathological hedging case: disjoint base masks, each
-cloned into identical lower-confidence duplicates. Pairwise suppression
-must compare every candidate against the kept set (quadratic in the
-detection count at a fixed image size), while the occupancy pass touches
-each detection once. The image size stays constant across scene sizes so
-per-operation pixel cost does not drift into the scaling measurement.
+cloned into identical lower-confidence duplicates. The pairwise baseline, the
+dense reference ``oracles.mask_nms_bruteforce``, rescans every candidate
+against the kept set (quadratic in the detection count at a fixed image
+size), while the occupancy pass touches each detection once. The image size
+stays constant across scene sizes so per-operation pixel cost does not drift
+into the scaling measurement.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from statistics import median
 
 import numpy as np
 
-from .nms import mask_nms, semantic_nms, semantic_sort
+from .nms import semantic_nms, semantic_sort
+from .oracles import mask_nms_bruteforce
 
 SIDE = 128  # fixed canvas
 CELL = 6  # px pitch between base masks
 MASK = 4  # base mask square side
 CATEGORY = 1
+MIN_SAMPLE_S = 0.02  # a sample repeats its method this long: one stall weighs little
 
 
 def build_hedged_scene(n: int, dup_factor: int = 4, seed: int = 0):
@@ -64,7 +67,7 @@ def build_hedged_scene(n: int, dup_factor: int = 4, seed: int = 0):
 
 
 def _run_mask(masks, scores, categories, semantic):
-    return mask_nms(masks, scores, categories, iou_thr=0.5)
+    return mask_nms_bruteforce(masks, scores, categories, iou_thr=0.5)
 
 
 def _run_semantic(masks, scores, categories, semantic):
@@ -80,7 +83,8 @@ BENCH_METHODS = {"mask": _run_mask, "semantic": _run_semantic}
 
 def run_bench(sizes=(100, 400, 1600), dup_factor: int = 4, seed: int = 0,
               repeats: int = 5) -> list[dict]:
-    """Median wall time per (size, method); rows ready for the CSV writer."""
+    """Median over ``repeats`` samples of the wall time per call, per (size,
+    method); rows ready for the CSV writer."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     rows = []
@@ -89,8 +93,10 @@ def run_bench(sizes=(100, 400, 1600), dup_factor: int = 4, seed: int = 0,
         for name, fn in BENCH_METHODS.items():
             times = []
             for _ in range(repeats):
-                start = time.perf_counter()
-                fn(*scene)
-                times.append(time.perf_counter() - start)
+                calls, start = 0, time.perf_counter()
+                while not calls or time.perf_counter() - start < MIN_SAMPLE_S:
+                    fn(*scene)
+                    calls += 1
+                times.append((time.perf_counter() - start) / calls)
             rows.append({"n": int(n), "method": name, "seconds": median(times)})
     return rows

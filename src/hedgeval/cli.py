@@ -343,11 +343,11 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
               help="Detections per distinct mask (1 original + duplicates).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--repeats", default=5, show_default=True,
-              help="Runs per timing; the median is reported.")
+              help="Timed samples per size and method; the median time per call is reported.")
 @click.option("--out", default="-", type=click.File("w"),
               help="CSV destination (default standard output).")
 def cmd_bench_nms(sizes, dup_factor, seed, repeats, out):
-    """Time pairwise mask NMS against semantic NMS on hedged scenes."""
+    """Time dense pairwise mask NMS against semantic NMS on hedged scenes."""
     import csv
 
     from .bench import run_bench

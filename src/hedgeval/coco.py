@@ -23,6 +23,7 @@ from .mask import (
     encode,
     leb_counts,
     rasterize_polygon,
+    run_positions,
 )
 
 DERIVE_FROM_GT = "derive-from-gt"
@@ -284,12 +285,16 @@ def _check_detection(idx: int, rec, dataset: Dataset):
 
 
 def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
+    shape = (image.height, image.width)
     masks: dict[int, np.ndarray] = {}
     for category_id, rles in groups.items():
-        # column-major, like the decoded masks it is compared with
-        dense = np.zeros((image.height, image.width), dtype=bool, order="F")
+        # column-major, like the decoded masks it is compared with; each
+        # mask's foreground runs are ORed into it with no decode
+        dense = np.zeros(shape, dtype=bool, order="F")
         for r in rles:
-            dense |= decode(r)
+            if (r.height, r.width) != shape:
+                raise ValueError(f"mask size {(r.height, r.width)} differs from image size {shape}")
+            dense.ravel(order="F")[run_positions(r.counts)] = True
         masks[category_id] = dense
     return masks
 

@@ -2,10 +2,10 @@
 
 Two distinct protocols live here. ``greedy_match`` is the standard COCO
 one-to-one, category-aware assignment used by AP, F1 and LRP. It is applied
-per (image, category). ``agnostic_match`` ignores categories and confidence
-entirely and maps each detection to its highest-IoU ground truth; it feeds
-the naming-error metric and deliberately allows many detections per ground
-truth.
+per (image, category). ``agnostic_match_from_ious`` ignores categories and
+confidence entirely and maps each detection to its highest-IoU ground truth;
+it feeds the naming-error metric and deliberately allows many detections per
+ground truth.
 """
 
 from __future__ import annotations
@@ -84,8 +84,3 @@ def agnostic_match_from_ious(ious: np.ndarray) -> list[int | None]:
     best = ious.argmax(axis=1)  # first maximum wins
     hit = ious[np.arange(n_det), best] >= AGNOSTIC_IOU_FLOOR
     return [int(b) if ok else None for b, ok in zip(best, hit)]
-
-
-def agnostic_match(det_masks, gt_masks) -> list[int | None]:
-    """Category- and confidence-blind matching over a whole image."""
-    return agnostic_match_from_ious(iou_matrix(det_masks, gt_masks))

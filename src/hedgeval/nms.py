@@ -2,7 +2,10 @@
 and semantic sorting + semantic NMS.
 
 The classical three compare detection pairs, so their per-image cost grows
-quadratically with the number of detections. Semantic NMS instead treats the
+quadratically with the number of detections. They read each category's
+pairwise IoU from the image's mask table (``mask.MaskTable``, as ``eval``
+does), so no detection is decoded to H x W; ``oracles.mask_nms_bruteforce``
+is the dense spec of mask NMS. Semantic NMS instead treats the
 per-category semantic mask as an occupancy budget: a detection is kept iff at
 least ``thr`` of its pixels are still unclaimed, and keeping it subtracts its
 pixels from the budget. One pass, no pairwise comparisons.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import RleMask, decode, pairwise_iou
+from .mask import MaskTable, RleMask, run_positions, table_pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -54,30 +57,31 @@ class NmsConfig:
             raise ValueError("sigma must be positive")
 
 
-def mask_nms(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
+def _ranked_ious(table: MaskTable, scores, categories):
+    """Per category, its detection indices by descending score (ties keep
+    ingestion order) and their IoU matrix in that order."""
+    scores, categories = np.asarray(scores, dtype=np.float64), np.asarray(categories)
+    for c in np.unique(categories):
+        idx = np.flatnonzero(categories == c)
+        ranked = idx[confidence_order(scores[idx])]
+        yield ranked, table_pairwise_iou(table.take(ranked))
+
+
+def mask_nms(table: MaskTable, scores, categories, iou_thr: float = 0.5) -> list[int]:
     """Greedy pairwise suppression; returns kept indices in ingestion order.
 
     A detection survives iff its IoU with every already-kept detection of
-    the same category stays below ``iou_thr``. The kept list is rescanned
-    for each candidate, which is the O(n^2) baseline behaviour the bench
-    harness measures.
+    the same category stays below ``iou_thr`` or is 0: a pair that shares no
+    pixel never suppresses. Spec: ``oracles.mask_nms_bruteforce``.
     """
-    categories = np.asarray(categories)
-    areas = [np.count_nonzero(m) for m in masks]
     kept: list[int] = []
-    for k in confidence_order(scores):
-        suppressed = False
-        for j in kept:
-            if categories[j] != categories[k]:
-                continue
-            inter = np.count_nonzero(masks[j] & masks[k])
-            if inter:
-                union = areas[j] + areas[k] - inter
-                if inter / union >= iou_thr:
-                    suppressed = True
-                    break
-        if not suppressed:
-            kept.append(int(k))
+    for ranked, ious in _ranked_ious(table, scores, categories):
+        suppresses = (ious >= iou_thr) & (ious > 0)
+        alive = np.ones(len(ranked), dtype=bool)
+        for k in range(len(ranked)):
+            if alive[k]:  # kept: it suppresses what it overlaps below it
+                alive[k + 1:] &= ~suppresses[k, k + 1:]
+        kept.extend(ranked[alive].tolist())
     return sorted(kept)
 
 
@@ -92,25 +96,21 @@ def _decay_ratio(ious: np.ndarray, cmax: np.ndarray, decay: str, sigma: float) -
     return np.where(cmax[:, None] < 1.0, ratio, np.inf)
 
 
-def matrix_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 2.0) -> np.ndarray:
+def matrix_nms(table: MaskTable, scores, categories, decay: str = "gaussian",
+               sigma: float = 2.0) -> np.ndarray:
     """Parallel rescoring: each score is decayed by the most suppressive
     higher-ranked same-category overlap, discounted by how suppressed that
     detection is itself. Returns the new score vector (ingestion order)."""
     scores = np.asarray(scores, dtype=np.float64)
-    categories = np.asarray(categories)
     out = scores.copy()
-    for c in np.unique(categories):
-        idx = np.flatnonzero(categories == c)
-        if len(idx) < 2:
-            continue
-        ranked = idx[confidence_order(scores[idx])]
-        ious = np.triu(pairwise_iou([masks[i] for i in ranked]), k=1)
+    for ranked, ious in _ranked_ious(table, scores, categories):
+        ious = np.triu(ious, k=1)
         cmax = ious.max(axis=0)  # per rank: worst overlap with anything above
         out[ranked] = scores[ranked] * _decay_ratio(ious, cmax, decay, sigma).min(axis=0)
     return out
 
 
-def soft_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 2.0,
+def soft_nms(table: MaskTable, scores, categories, decay: str = "gaussian", sigma: float = 2.0,
              iou_thr: float = 0.5) -> np.ndarray:
     """Sequential rescoring: repeatedly commit the highest-scored remaining
     detection and decay what's left by overlap with it. ``iou_thr`` gates
@@ -119,8 +119,9 @@ def soft_nms(masks, scores, categories, decay: str = "gaussian", sigma: float = 
     categories = np.asarray(categories)
     out = scores.copy()
     for c in np.unique(categories):
+        # ingestion order: the (score, -position) tie-break depends on it
         idx = np.flatnonzero(categories == c)
-        pair = pairwise_iou([masks[i] for i in idx])
+        pair = table_pairwise_iou(table.take(idx))
         cur = scores[idx].copy()
         remaining = list(range(len(idx)))
         while remaining:
@@ -146,16 +147,6 @@ def _memory_order(a: np.ndarray) -> tuple[np.ndarray, bool]:
     return a.ravel(order="F" if fortran else "C"), fortran
 
 
-def _run_positions(counts) -> np.ndarray:
-    """Column-major positions of the foreground pixels of RLE ``counts``:
-    each pixel's rank among the foreground pixels plus the background
-    before its run."""
-    counts = np.asarray(counts, dtype=np.intp)
-    lens = counts[1::2]
-    before = np.cumsum(counts[0::2])[:lens.size]
-    return np.arange(lens.sum()) + np.repeat(before, lens)
-
-
 def _pixels(mask, shape, fortran: bool) -> np.ndarray:
     """Flat positions of the mask's pixels in a budget of ``shape`` and the
     given layout. A dense mask is scanned once in its own memory order, an
@@ -166,7 +157,7 @@ def _pixels(mask, shape, fortran: bool) -> np.ndarray:
     if mask_shape != shape:
         raise ValueError(f"mask shape {mask_shape} differs from semantic mask shape {shape}")
     if rle:
-        idx, mask_fortran = _run_positions(mask.counts), True
+        idx, mask_fortran = run_positions(mask.counts), True
     else:
         flat, mask_fortran = _memory_order(mask)
         idx = np.flatnonzero(flat)
@@ -285,16 +276,16 @@ def run_nms(dets_by_image: dict[int, list[Detection]], cfg: NmsConfig,
         if cfg.method == "semantic":
             out[image_id] = _semantic_pass(dets, semantic_sets[image_id], cfg)
             continue
-        masks = [decode(d.mask) for d in dets]
+        table = MaskTable.from_rles(d.mask for d in dets)
         scores = np.array([d.score for d in dets], dtype=np.float64)
         categories = [d.category_id for d in dets]
         if cfg.method == "mask":
-            kept = [dets[i] for i in mask_nms(masks, scores, categories, cfg.iou_thr)]
+            kept = [dets[i] for i in mask_nms(table, scores, categories, cfg.iou_thr)]
         else:
             if cfg.method == "matrix":
-                rescored = matrix_nms(masks, scores, categories, cfg.decay, cfg.sigma)
+                rescored = matrix_nms(table, scores, categories, cfg.decay, cfg.sigma)
             else:
-                rescored = soft_nms(masks, scores, categories, cfg.decay, cfg.sigma, cfg.iou_thr)
+                rescored = soft_nms(table, scores, categories, cfg.decay, cfg.sigma, cfg.iou_thr)
             kept = [replace(d, score=float(s)) for d, s in zip(dets, rescored)]
         out[image_id] = [d for d in kept if d.score >= cfg.score_floor]
     return out

@@ -125,6 +125,27 @@ def match_bruteforce(det_masks, det_scores, gt_masks, iou_thr: float) -> MatchRe
     return MatchResult(det_to_gt, det_iou, gt_to_det)
 
 
+def mask_nms_bruteforce(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
+    """Greedy mask NMS over dense masks; kept indices in ingestion order.
+
+    Candidates go by descending score, ties in ingestion order; each is
+    suppressed by a kept one of its category that shares a pixel with it at
+    IoU >= ``iou_thr``. The quadratic rescan is ``bench``'s pairwise baseline.
+    """
+    categories = np.asarray(categories)
+    areas = [np.count_nonzero(m) for m in masks]
+    kept: list[int] = []
+    for k in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable"):
+        for j in kept:
+            if categories[j] == categories[k]:
+                inter = np.count_nonzero(masks[j] & masks[k])
+                if inter and inter / (areas[j] + areas[k] - inter) >= iou_thr:
+                    break
+        else:
+            kept.append(int(k))
+    return sorted(kept)
+
+
 def decompress_leb_naive(s: str) -> list[int]:
     """Run lengths of a COCO counts string, one character at a time.
 

@@ -85,9 +85,11 @@ class SynthConfig:
 
 def _capsule_box(height: int, width: int, cx: float, cy: float,
                  length: float, cap_width: float, theta: float):
-    """The capsule of ``render_capsule`` on its clipped bounding box:
-    ``(r0, c0, local)``, where ``local`` is the bool mask of the box whose
-    top-left pixel is (r0, c0); it is empty when the box misses the image."""
+    """Rasterize a capsule, the pixels whose center lies within cap_width/2
+    of a spine of the given length centered on (cx, cy) and rotated by theta
+    radians, on its clipped bounding box: ``(r0, c0, local)``, where ``local``
+    is the bool mask of the box whose top-left pixel is (r0, c0); it is empty
+    when the box misses the image."""
     half, r = length / 2.0, cap_width / 2.0
     ux, uy = np.cos(theta), np.sin(theta)
     p0 = (cx - half * ux, cy - half * uy)
@@ -117,17 +119,6 @@ def _capsule_box(height: int, width: int, cx: float, cy: float,
     return r0, c0, dx * dx + dy * dy <= r * r
 
 
-def render_capsule(height: int, width: int, cx: float, cy: float,
-                   length: float, cap_width: float, theta: float) -> np.ndarray:
-    """Rasterize a capsule: pixels whose center lies within cap_width/2 of
-    the spine segment. The spine has the given length, is centered on
-    (cx, cy), and is rotated by theta radians."""
-    r0, c0, local = _capsule_box(height, width, cx, cy, length, cap_width, theta)
-    out = np.zeros((height, width), dtype=bool)
-    out[r0:r0 + local.shape[0], c0:c0 + local.shape[1]] = local
-    return out
-
-
 def _place(cfg: SynthConfig, rng: np.random.Generator,
            length: float, cap_width: float, theta: float) -> tuple[float, float]:
     """Sample a center from the truncated normal by rejection: resample until
@@ -146,23 +137,11 @@ def _place(cfg: SynthConfig, rng: np.random.Generator,
     )
 
 
-def generate_image(cfg: SynthConfig, image_index: int) -> list[np.ndarray]:
-    """Visible-pixel masks of one scene, in draw order, empties dropped.
-
-    Each image has its own RNG stream derived from (seed, image_index), so
-    results do not depend on how generation is scheduled across images.
-    """
-    masks = []
-    for r0, c0, crop in _visible_parts(cfg, image_index):
-        m = np.zeros((cfg.height, cfg.width), dtype=bool)
-        m[r0:r0 + crop.shape[0], c0:c0 + crop.shape[1]] = crop
-        masks.append(m)
-    return masks
-
-
 def _visible_parts(cfg: SynthConfig, image_index: int):
-    """Yield the masks of ``generate_image`` as ``(r0, c0, crop)``: each
-    part's visible pixels on its own box, whose top-left pixel is (r0, c0)."""
+    """Yield the visible parts of one scene in draw order, empties dropped,
+    as ``(r0, c0, crop)``: a part's visible pixels on its box, whose top-left
+    pixel is (r0, c0). Each image has its own RNG stream derived from (seed,
+    image_index), so results do not depend on how images are scheduled."""
     rng = np.random.default_rng((cfg.seed, image_index))
     canvas = np.zeros((cfg.height, cfg.width), dtype=np.int32)
     boxes = []
@@ -217,16 +196,6 @@ def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, Semanti
             json.dump(asdict(cfg), f, indent=2)
             f.write("\n")
     return dataset, semantic
-
-
-def shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate a mask by whole pixels, filling vacated space with zeros."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    if abs(dy) < h and abs(dx) < w:  # otherwise everything falls off the image
-        out[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
-            mask[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
-    return out
 
 
 def _jittered(rle: RleMask, table: MaskTable, i: int, rng: np.random.Generator, offsets):

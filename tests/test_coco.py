@@ -20,7 +20,7 @@ from hedgeval.coco import (
     write_ground_truth,
     write_semantic_masks,
 )
-from hedgeval.mask import decode, encode
+from hedgeval.mask import RleMask, decode, encode
 
 
 def seg_of(mask):
@@ -390,6 +390,21 @@ class TestSemanticMasks:
         ]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets, conf_floor=0.5)
         assert sem[1].masks[1].sum() == 4
+
+    def test_derived_union_equals_or_of_decoded_masks(self, gt_file, rng):
+        ds = load_ground_truth(gt_file([], images=[{"id": 1, "height": 7, "width": 9}]))
+        masks = [random_mask(rng, 7, 9, 0.2) for _ in range(6)]
+        dets = {1: [Detection(1, 1 + i % 2, 0.9, encode(m)) for i, m in enumerate(masks)]}
+        sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
+        for c in (1, 2):
+            assert np.array_equal(sem[1].masks[c], np.logical_or.reduce(masks[c - 1::2]))
+            assert sem[1].masks[c].flags.f_contiguous
+
+    def test_derived_union_rejects_a_mask_of_another_size(self, gt_file):
+        ds = load_ground_truth(gt_file([], images=[{"id": 1, "height": 4, "width": 5}]))
+        dets = {1: [Detection(1, 1, 0.9, RleMask(5, 4, (3, 17)))]}
+        with pytest.raises(ValueError, match="differs from image size"):
+            load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
 
     def test_derive_from_dt_requires_detections(self, gt_file):
         ds = load_ground_truth(gt_file([]))

@@ -27,7 +27,9 @@ from hedgeval.coco import (
     write_ground_truth,
 )
 from hedgeval.mask import encode
-from hedgeval.synth import SynthConfig, generate, perfect_detector, render_capsule
+from hedgeval.synth import SynthConfig, generate, perfect_detector
+
+from _reference_synth import render_capsule
 
 SMALL_PARTS = {"length_range": (14.0, 22.0), "width_range": (3.0, 5.0)}
 

@@ -4,7 +4,6 @@ from conftest import random_mask
 
 from hedgeval.mask import iou_matrix
 from hedgeval.matching import (
-    agnostic_match,
     agnostic_match_from_ious,
     confidence_order,
     greedy_match,
@@ -107,7 +106,7 @@ class TestGreedyMatch:
 class TestAgnosticMatch:
     def test_exact_mask_picks_its_gt(self):
         gts = [square(12, 12, 0, 0, 4), square(12, 12, 0, 6, 4), square(12, 12, 6, 0, 4)]
-        assert agnostic_match([gts[2]], gts) == [2]
+        assert agnostic_match_from_ious(iou_matrix([gts[2]], gts)) == [2]
 
     def test_just_below_half_is_none(self):
         ious = np.array([[0.49]])
@@ -118,22 +117,22 @@ class TestAgnosticMatch:
         det = square(12, 12, 4, 4, 4)
         up = square(12, 12, 3, 4, 4)  # IoU 3/5
         down = square(12, 12, 5, 4, 4)  # same
-        assert agnostic_match([det], [up, down]) == [0]
-        assert agnostic_match([det], [down, up]) == [0]
+        assert agnostic_match_from_ious(iou_matrix([det], [up, down])) == [0]
+        assert agnostic_match_from_ious(iou_matrix([det], [down, up])) == [0]
 
     def test_many_to_one_allowed(self):
         m = square(8, 8, 2, 2, 4)
-        assert agnostic_match([m, m, m], [m]) == [0, 0, 0]
+        assert agnostic_match_from_ious(iou_matrix([m, m, m], [m])) == [0, 0, 0]
 
     def test_no_gts(self):
         m = square(8, 8, 2, 2, 4)
-        assert agnostic_match([m], []) == [None]
+        assert agnostic_match_from_ious(iou_matrix([m], [])) == [None]
 
     def test_consistent_with_iou_matrix(self, rng):
         dets = [random_mask(rng, 10, 10, 0.5) for _ in range(5)]
         gts = [random_mask(rng, 10, 10, 0.5) for _ in range(3)]
         ious = iou_matrix(dets, gts)
-        got = agnostic_match(dets, gts)
+        got = agnostic_match_from_ious(ious)
         for j, gi in enumerate(got):
             if gi is None:
                 assert ious[j].max() < 0.5

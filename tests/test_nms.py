@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeval.coco import Detection, SemanticMaskSet
-from hedgeval.mask import RleMask, decode, encode, iou, iou_matrix
+from hedgeval.mask import MaskTable, RleMask, decode, encode, encode_box, iou, iou_matrix
 from hedgeval.nms import (
     NmsConfig,
     mask_nms,
@@ -17,6 +18,7 @@ from hedgeval.nms import (
     semantic_sort,
     soft_nms,
 )
+from hedgeval.oracles import mask_nms_bruteforce
 
 
 def box(h, w, r0, c0, rows, cols):
@@ -60,25 +62,28 @@ class TestNmsConfig:
 class TestMaskNms:
     def test_identical_same_category(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms([m, m], [0.9, 0.8], [1, 1], 0.5) == [0]
+        assert mask_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], 0.5) == [0]
 
     def test_identical_lower_score_first_in_file(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms([m, m], [0.8, 0.9], [1, 1], 0.5) == [1]
+        assert mask_nms(MaskTable.from_dense([m, m]), [0.8, 0.9], [1, 1], 0.5) == [1]
 
     def test_identical_different_categories(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms([m, m], [0.9, 0.8], [1, 2], 0.5) == [0, 1]
+        assert mask_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2], 0.5) == [0, 1]
 
     def test_disjoint_all_kept(self, rng):
         masks = disjoint_boxes(9)
-        assert mask_nms(masks, rng.random(9), [1] * 9, 0.5) == list(range(9))
+        scores = rng.random(9)
+        assert mask_nms(MaskTable.from_dense(masks), scores, [1] * 9, 0.5) == list(range(9))
+        # a pair that shares no pixel never suppresses, even at threshold 0
+        assert mask_nms(MaskTable.from_dense(masks), scores, [1] * 9, 0.0) == list(range(9))
 
     def test_below_threshold_overlap_survives(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
-        assert mask_nms([a, b], [0.9, 0.8], [1, 1], 0.5) == [0, 1]
-        assert mask_nms([a, b], [0.9, 0.8], [1, 1], 0.3) == [0]
+        assert mask_nms(MaskTable.from_dense([a, b]), [0.9, 0.8], [1, 1], 0.5) == [0, 1]
+        assert mask_nms(MaskTable.from_dense([a, b]), [0.9, 0.8], [1, 1], 0.3) == [0]
 
     def test_matches_greedy_over_pairwise_iou(self, rng):
         # thresholds taken from the IoUs themselves, so ties with the
@@ -94,19 +99,33 @@ class TestMaskNms:
                 for k in np.argsort(-scores, kind="stable"):
                     if all(cats[j] != cats[k] or ious[j, k] < thr for j in kept):
                         kept.append(int(k))
-                assert mask_nms(masks, scores, cats, thr) == sorted(kept)
+                assert mask_nms(MaskTable.from_dense(masks), scores, cats, thr) == sorted(kept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+           iou_thr=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_matches_dense_bruteforce(self, seed, n, iou_thr):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 10, size=2))
+        # density 0 gives empty masks, small densities small boxes
+        masks = [random_mask(rng, h, w, rng.choice([0.0, 0.05, 0.3, 0.7, 1.0])) for _ in range(n)]
+        masks[n // 2] = masks[0]  # an exact copy: IoU 1
+        scores = np.round(rng.random(n), 1)  # one decimal: tied scores
+        cats = rng.integers(1, 3, size=n)
+        got = mask_nms(MaskTable.from_dense(masks), scores, cats, iou_thr)
+        assert got == mask_nms_bruteforce(masks, scores, cats, iou_thr)
 
 
 class TestMatrixNms:
     def test_no_overlap_scores_unchanged(self, rng):
         masks = disjoint_boxes(5)
         scores = rng.random(5)
-        got = matrix_nms(masks, scores, [1] * 5)
+        got = matrix_nms(MaskTable.from_dense(masks), scores, [1] * 5)
         assert got == pytest.approx(scores)
 
     def test_identical_duplicate_gaussian_formula(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = matrix_nms([m, m], [0.9, 0.8], [1, 1], decay="gaussian", sigma=2.0)
+        got = matrix_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], decay="gaussian", sigma=2.0)
         # duplicate sees iou 1 against an unsuppressed leader (cmax 0)
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.8 * np.exp(-0.5), abs=1e-12)
@@ -114,7 +133,7 @@ class TestMatrixNms:
     def test_linear_decay_formula(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3 with a
-        got = matrix_nms([a, b], [0.9, 0.6], [1, 1], decay="linear")
+        got = matrix_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear")
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.6 * (1 - 1 / 3), abs=1e-12)
 
@@ -124,7 +143,7 @@ class TestMatrixNms:
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
             decay = "gaussian" if rng.random() < 0.5 else "linear"
-            got = matrix_nms(masks, scores, [1] * n, decay=decay, sigma=2.0)
+            got = matrix_nms(MaskTable.from_dense(masks), scores, [1] * n, decay=decay, sigma=2.0)
             order = np.argsort(-scores, kind="stable")
             ious = iou_matrix([masks[i] for i in order], [masks[i] for i in order])
             expected = scores.copy()
@@ -146,20 +165,20 @@ class TestMatrixNms:
         m = box(8, 8, 2, 2, 4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = matrix_nms([m, m, m], [0.9, 0.8, 0.7], [1, 1, 1], decay="linear")
+            got = matrix_nms(MaskTable.from_dense([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], decay="linear")
         assert got.tolist() == [0.9, 0.0, 0.0]
 
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = matrix_nms([m, m], [0.9, 0.8], [1, 2])
+        got = matrix_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2])
         assert got == pytest.approx([0.9, 0.8])
 
     def test_permissive_floor_keeps_hedges_mask_nms_kills(self):
         m = box(8, 8, 2, 2, 4, 4)
         masks = [m] * 5
         scores = [0.9, 0.5, 0.4, 0.3, 0.2]
-        survivors_mask = mask_nms(masks, scores, [1] * 5, 0.5)
-        rescored = matrix_nms(masks, scores, [1] * 5)
+        survivors_mask = mask_nms(MaskTable.from_dense(masks), scores, [1] * 5, 0.5)
+        rescored = matrix_nms(MaskTable.from_dense(masks), scores, [1] * 5)
         survivors_matrix = [i for i, s in enumerate(rescored) if s >= 0.05]
         assert len(survivors_mask) == 1
         assert len(survivors_matrix) > len(survivors_mask)
@@ -169,28 +188,28 @@ class TestMatrixNms:
             n = int(rng.integers(1, 8))
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
-            assert (matrix_nms(masks, scores, [1] * n) <= scores + 1e-12).all()
+            assert (matrix_nms(MaskTable.from_dense(masks), scores, [1] * n) <= scores + 1e-12).all()
 
 
 class TestSoftNms:
     def test_identical_duplicate_gaussian(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = soft_nms([m, m], [0.9, 0.8], [1, 1], sigma=2.0)
+        got = soft_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], sigma=2.0)
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.8 * np.exp(-0.5), abs=1e-12)
 
     def test_linear_gated_by_threshold(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
-        untouched = soft_nms([a, b], [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.5)
+        untouched = soft_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.5)
         assert untouched == pytest.approx([0.9, 0.6])
-        decayed = soft_nms([a, b], [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.3)
+        decayed = soft_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.3)
         assert decayed[1] == pytest.approx(0.6 * (1 - 1 / 3), abs=1e-12)
 
     def test_sequential_compounding(self):
         # the third copy is decayed by both survivors in selection order
         m = box(8, 8, 2, 2, 4, 4)
-        got = soft_nms([m, m, m], [0.9, 0.8, 0.7], [1, 1, 1], sigma=2.0)
+        got = soft_nms(MaskTable.from_dense([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], sigma=2.0)
         w = np.exp(-0.5)
         assert got[1] == pytest.approx(0.8 * w, abs=1e-12)
         assert got[2] == pytest.approx(0.7 * w * w, abs=1e-12)
@@ -201,11 +220,11 @@ class TestSoftNms:
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
             for decay in ("gaussian", "linear"):
-                assert (soft_nms(masks, scores, [1] * n, decay=decay) <= scores + 1e-12).all()
+                assert (soft_nms(MaskTable.from_dense(masks), scores, [1] * n, decay=decay) <= scores + 1e-12).all()
 
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert soft_nms([m, m], [0.9, 0.8], [1, 2]) == pytest.approx([0.9, 0.8])
+        assert soft_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2]) == pytest.approx([0.9, 0.8])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from(["gaussian", "linear"]),
@@ -217,7 +236,7 @@ class TestSoftNms:
         masks[n // 2] = masks[0]
         scores = np.round(rng.random(n), 1)
         categories = rng.integers(1, 3, n).tolist()
-        got = soft_nms(masks, scores, categories, decay=decay, sigma=2.0, iou_thr=iou_thr)
+        got = soft_nms(MaskTable.from_dense(masks), scores, categories, decay=decay, sigma=2.0, iou_thr=iou_thr)
 
         expected = scores.copy()
         for c in set(categories):
@@ -475,3 +494,24 @@ class TestRunNms:
     def test_empty_image_passthrough(self):
         out = run_nms({1: []}, NmsConfig(method="mask"))
         assert out == {1: []}
+
+    @pytest.mark.parametrize("method", ["mask", "matrix", "soft"])
+    def test_memory_bounded_by_mask_area(self, method):
+        # 40 small detections on a 2048x2048 image: a full-image mask per
+        # detection would need 40 * H * W bytes
+        h = w = 2048
+        rng = np.random.default_rng(3)
+        block = np.ones((24, 32), dtype=bool)
+        dets = []
+        for k in range(20):
+            r0, c0 = (int(v) for v in rng.integers(0, h - 40, size=2))
+            for dy, score in ((0, 0.9), (3, 0.6)):  # a base and a shifted duplicate
+                dets.append(Detection(1, 1 + k % 2, score, encode_box(block, r0 + dy, c0, h, w)))
+        tracemalloc.start()
+        try:
+            out = run_nms({1: dets}, NmsConfig(method=method))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out[1]) == (20 if method == "mask" else 40)
+        assert peak < h * w

@@ -22,15 +22,9 @@ from hedgeval.coco import (
 from hedgeval import mask as mask_module
 from hedgeval import synth
 from hedgeval.mask import RleMask, decode, encode, iou
-from hedgeval.synth import (
-    SynthConfig,
-    _place,
-    generate,
-    generate_image,
-    perfect_detector,
-    render_capsule,
-    shift_mask,
-)
+from hedgeval.synth import SynthConfig, _place, generate, perfect_detector
+
+from _reference_synth import generate_image, render_capsule, shift_mask
 
 
 def capsule_oracle(h, w, cx, cy, length, cap_width, theta):
