@@ -84,19 +84,23 @@ BENCH_METHODS = {"mask": _run_mask, "semantic": _run_semantic}
 def run_bench(sizes=(100, 400, 1600), dup_factor: int = 4, seed: int = 0,
               repeats: int = 5) -> list[dict]:
     """Median over ``repeats`` samples of the wall time per call, per (size,
-    method); rows ready for the CSV writer."""
+    method); rows ready for the CSV writer.
+
+    Every scene is built first, then each repeat takes one sample of every
+    (size, method) in turn, so a burst of load on the machine lands on all
+    sizes alike rather than on one size's samples.
+    """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    rows = []
-    for n in sizes:
-        scene = build_hedged_scene(n, dup_factor, seed)
-        for name, fn in BENCH_METHODS.items():
-            times = []
-            for _ in range(repeats):
+    scenes = {n: build_hedged_scene(n, dup_factor, seed) for n in sizes}
+    times = {(n, name): [] for n in sizes for name in BENCH_METHODS}
+    for _ in range(repeats):
+        for n, scene in scenes.items():
+            for name, fn in BENCH_METHODS.items():
                 calls, start = 0, time.perf_counter()
                 while not calls or time.perf_counter() - start < MIN_SAMPLE_S:
                     fn(*scene)
                     calls += 1
-                times.append((time.perf_counter() - start) / calls)
-            rows.append({"n": int(n), "method": name, "seconds": median(times)})
-    return rows
+                times[n, name].append((time.perf_counter() - start) / calls)
+    return [{"n": int(n), "method": name, "seconds": median(times[n, name])}
+            for n in sizes for name in BENCH_METHODS]

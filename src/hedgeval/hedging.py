@@ -181,16 +181,31 @@ def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
     ``groups`` is an iterable of (confidences, pair_ious) pairs, one per
     (image, category) cell with at least one detection; ``pair_ious`` is the
     full pairwise IoU matrix of that cell's detection masks.
+
+    The floors of one (group, IoU threshold) graph keep nested sets of
+    detections, so how many they keep names the set, and ``dc_single`` runs
+    once per distinct set; the result is bit-equal to one call per floor.
+    If floors v < v' keep the same set, no connectivity among the kept
+    detections lies in [v, v'): a connectivity is always some vertex's
+    tau, and that vertex would be kept at v but not at v'. So both floors
+    zero the same entries and sum the identical array. A graph with no
+    edge, or a floor that keeps one detection, scores 0.0 without numpy.
     """
     cfg = cfg or DcConfig()
     values = [[[] for _ in cfg.conf_thrs] for _ in cfg.iou_thrs]
     for scores, ious in groups:
         scores = np.asarray(scores, dtype=np.float64)
+        kept = [int(np.count_nonzero(scores >= v)) for v in cfg.conf_thrs]
         for ti, t in enumerate(cfg.iou_thrs):
             g = DetectionGraph.from_ious(scores, ious, t)  # one spanning forest per t
-            for vi, v in enumerate(cfg.conf_thrs):
-                if (scores >= v).any():
-                    values[ti][vi].append(dc_single(g, v))
+            edgeless = not g.adjacency.any()
+            by_kept: dict[int, float] = {}  # detections kept -> score
+            for vi, (v, k) in enumerate(zip(cfg.conf_thrs, kept)):
+                if not k:
+                    continue
+                if k not in by_kept:
+                    by_kept[k] = 0.0 if edgeless or k == 1 else dc_single(g, v)
+                values[ti][vi].append(by_kept[k])
     grid = [[float(np.mean(vals)) if vals else 0.0 for vals in row] for row in values]
     cells = [[len(vals) for vals in row] for row in values]
     dc = float(np.mean([v for row in grid for v in row]))

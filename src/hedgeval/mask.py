@@ -8,7 +8,9 @@ with background.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +37,9 @@ class RleMask:
 
     ``counts`` alternates background/foreground run lengths in column-major
     pixel order and always begins with a (possibly zero-length) background run.
+    The constructor checks the runs, as every loader needs; the runs that
+    ``encode`` and ``encode_box`` derive are valid by construction and skip
+    the check (``_unchecked``).
     """
 
     height: int
@@ -54,6 +59,16 @@ class RleMask:
                 f"run lengths sum to {total}, expected {self.height * self.width} "
                 f"for a {self.height}x{self.width} mask"
             )
+
+    @classmethod
+    def _unchecked(cls, height: int, width: int, counts) -> "RleMask":
+        """The mask of runs that are valid by construction (non-negative
+        ``int`` lengths summing to height x width), built without the
+        checks of ``__post_init__``; for runs this package derives itself,
+        never for outside input."""
+        rle = object.__new__(cls)
+        rle.__dict__.update(height=height, width=width, counts=tuple(counts))
+        return rle
 
     @property
     def area(self) -> int:
@@ -80,10 +95,10 @@ def encode(mask: np.ndarray) -> RleMask:
         counts = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
         if flat[0]:
             counts.insert(0, 0)  # first run always counts background
-        return RleMask(h, w, counts)
+        return RleMask._unchecked(h, w, counts)
     rows = np.flatnonzero(mask.any(axis=1))
     if not rows.size:
-        return RleMask(h, w, (h * w,))
+        return RleMask._unchecked(h, w, (h * w,))
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     cols = np.flatnonzero(mask[r0:r1].any(axis=0))
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
@@ -96,6 +111,8 @@ def encode_box(crop: np.ndarray, r0: int, c0: int, height: int, width: int) -> R
     runs as ``encode`` of the whole mask, at the cost of the box alone."""
     h, w = height, width
     bh, bw = crop.shape
+    if r0 < 0 or c0 < 0 or r0 + bh > h or c0 + bw > w:
+        raise ValueError(f"a {bh}x{bw} box at ({r0}, {c0}) does not fit a {h}x{w} mask")
     # scan the box with background before and after it in column-major
     # order, so its edges (where a run starts or ends) alternate, starting
     # with a start
@@ -117,7 +134,7 @@ def encode_box(crop: np.ndarray, r0: int, c0: int, height: int, width: int) -> R
     counts = np.diff(np.concatenate(([0], edges, [h * w]))).tolist()
     if counts[-1] == 0:  # the last run is foreground and ends the image
         counts.pop()
-    return RleMask(h, w, counts)
+    return RleMask._unchecked(h, w, counts)
 
 
 def _paint(runs, height: int, width: int) -> np.ndarray:
@@ -144,6 +161,43 @@ def run_positions(counts) -> np.ndarray:
 
 _LEB_CHAR_LO = 48
 _LEB_CHAR_HI = 111  # 48 + 63, all 6-bit group values
+_LEB_MEMO_SPAN = 2048  # values in [-2048, 2048) are memoised: at most 4096 strings
+
+
+class _LebText(dict):
+    """The counts-string characters of one value, keyed by the value.
+
+    A value in [-_LEB_MEMO_SPAN, _LEB_MEMO_SPAN), where most run-length
+    deltas of real masks fall, is encoded on its first lookup and kept, so
+    the memo never holds more than 2 * _LEB_MEMO_SPAN short strings. Any
+    other value takes more than two groups; those two carry the
+    continuation bit, and the rest of its characters are those of the value
+    shifted right by 10 bits, so it is looked up ten bits at a time.
+    """
+
+    def __missing__(self, value):
+        head = []
+        while not -_LEB_MEMO_SPAN <= value < _LEB_MEMO_SPAN:
+            head.append(chr(_LEB_CHAR_LO + 0x20 + (value & 0x1F))
+                        + chr(_LEB_CHAR_LO + 0x20 + (value >> 5 & 0x1F)))
+            value >>= 10
+        if head:
+            return "".join(head) + self[value]
+        x, out = value, []
+        more = True
+        while more:
+            group = x & 0x1F
+            x >>= 5
+            # bit 4 of the group is the sign bit once emission stops
+            more = (x != -1) if (group & 0x10) else (x != 0)
+            if more:
+                group |= 0x20
+            out.append(chr(group + _LEB_CHAR_LO))
+        text = self[value] = "".join(out)
+        return text
+
+
+_LEB_TEXT = _LebText()
 
 
 def compress_leb(rle: RleMask) -> str:
@@ -154,22 +208,14 @@ def compress_leb(rle: RleMask) -> str:
     the group value plus 48. From index 3 onward the stored value is the
     delta against the count two positions earlier (the reference scheme
     leaves the first three counts raw), so foreground/background runs are
-    each delta-coded against their own parity.
+    each delta-coded against their own parity. ``oracles.compress_leb_naive``
+    spells this out one character at a time; here the deltas are taken
+    with one ``map`` and each value's characters are looked up in a bounded
+    memo, so no Python loop runs per character.
     """
     counts = rle.counts
-    out = []
-    for i, c in enumerate(counts):
-        x = c - counts[i - 2] if i > 2 else c
-        more = True
-        while more:
-            group = x & 0x1F
-            x >>= 5
-            # bit 4 of the group is the sign bit once emission stops
-            more = (x != -1) if (group & 0x10) else (x != 0)
-            if more:
-                group |= 0x20
-            out.append(chr(group + _LEB_CHAR_LO))
-    return "".join(out)
+    deltas = map(operator.sub, counts[3:], counts[1:])
+    return "".join(map(_LEB_TEXT.__getitem__, chain(counts[:3], deltas)))
 
 
 _LEB_CHUNK = 1 << 12  # characters per numpy pass; its int64 temporaries stay at 32 KiB
@@ -309,35 +355,6 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 _EMPTY_CROP = np.zeros((0, 0), dtype=bool)
 
 
-def _rle_entry(rle: RleMask):
-    """Box, area and crop of one mask, read from its runs. Only the box's
-    pixels are ever materialised."""
-    h = rle.height
-    counts = np.array(rle.counts, dtype=np.int64)
-    fg_len = counts[1::2]
-    fg_end = np.cumsum(counts)[1::2]
-    keep = fg_len > 0
-    fg_len, fg_end = fg_len[keep], fg_end[keep]
-    if not fg_len.size:
-        return (0, 0, 0, 0), 0, _EMPTY_CROP
-    col0, row0 = np.divmod(fg_end - fg_len, h)  # first pixel of each run
-    col1, row1 = np.divmod(fg_end - 1, h)  # last pixel of each run
-    if (col0 != col1).any():  # a run across a column edge holds the last row and the first
-        r0, r1 = 0, h
-    else:
-        r0, r1 = int(row0.min()), int(row1.max()) + 1
-    c0, c1 = int(col0[0]), int(col1[-1]) + 1
-    # each run stays contiguous in the crop's column-major order: either it
-    # lies in one column, or the box spans every row
-    at = (col0 - c0) * (r1 - r0) + (row0 - r0)
-    runs = np.empty(2 * fg_len.size + 1, dtype=np.int64)
-    runs[0] = at[0]
-    runs[2:-1:2] = at[1:] - (at[:-1] + fg_len[:-1])
-    runs[1::2] = fg_len
-    runs[-1] = (r1 - r0) * (c1 - c0) - (at[-1] + fg_len[-1])
-    return (r0, r1, c0, c1), int(fg_len.sum()), _paint(runs, r1 - r0, c1 - c0)
-
-
 def _dense_entry(m: np.ndarray):
     """Box, area and crop of one dense mask, found by scanning it."""
     rows = np.flatnonzero(m.any(axis=1))
@@ -349,14 +366,37 @@ def _dense_entry(m: np.ndarray):
     return (r0, r1, c0, c1), int(np.count_nonzero(crop)), crop
 
 
+def _foreground_runs(rles):
+    """Length and end of every non-empty foreground run of the masks, with
+    their counts laid end to end; the per-count arrays are freed on return."""
+    lens = np.fromiter((len(r.counts) for r in rles), dtype=np.intp, count=len(rles))
+    flat = np.fromiter(chain.from_iterable(r.counts for r in rles), dtype=np.int64,
+                       count=int(lens.sum()))
+    fg = (np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)) % 2 == 1
+    run, end = flat[fg], np.cumsum(flat)[fg]
+    keep = run > 0
+    return run[keep], end[keep]
+
+
+def _one_shape(shapes):
+    """The shape all of ``shapes`` share, None when there are none."""
+    shapes = iter(shapes)
+    first = next(shapes, None)
+    for s in shapes:
+        if s != first:
+            raise ValueError(f"mask dimensions differ: {first} vs {s}")
+    return first
+
+
 @dataclass(frozen=True)
 class MaskTable:
     """Masks of one shape, each held as its half-open box (r0, r1, c0, c1),
     its exact area and a bool crop of that box.
 
     An empty mask gets the empty box (0, 0, 0, 0), which overlaps no box,
-    and a 0x0 crop. Built from RLE, each crop is its own array of the box's
-    pixels, so memory scales with the total box area, not with masks x H x W.
+    and a 0x0 crop. Built from RLE, every crop is an F-order view of its
+    own slice of one bool buffer of the total box area, so memory scales
+    with the total box area, not with masks x H x W.
     """
 
     shape: tuple[int, int] | None  # None for a table of no masks
@@ -365,27 +405,66 @@ class MaskTable:
     crops: tuple[np.ndarray, ...]
 
     @classmethod
-    def _build(cls, shapes, entries) -> "MaskTable":
-        shapes = list(shapes)
-        for s in shapes[1:]:
-            if s != shapes[0]:
-                raise ValueError(f"mask dimensions differ: {shapes[0]} vs {s}")
-        boxes, areas, crops = zip(*entries) if shapes else ((), (), ())
-        return cls(shapes[0] if shapes else None,
-                   np.array(boxes, dtype=np.intp).reshape(-1, 4),
-                   np.array(areas, dtype=np.int64), tuple(crops))
-
-    @classmethod
     def from_rles(cls, rles) -> "MaskTable":
-        """Table of RLE masks, read from their runs with no full-image decode."""
+        """Table of RLE masks, read from their runs in one numpy pass over
+        all of them, with no full-image decode.
+
+        The masks' counts are concatenated. Every mask's runs sum to H x W,
+        so mask m's pixels take the column-major positions [m*H*W,
+        (m+1)*H*W) of one image of n*W columns, and one cumsum gives every
+        foreground run's end. A box spans the rows its runs cover, or every
+        row when a run crosses a column edge (it then holds the last row
+        and the first). Each run stays contiguous in its crop's
+        column-major order, since it lies in one column or the box spans
+        every row, so one ``np.repeat`` paints every crop from the run
+        boundaries into one bool buffer, with nothing else allocated per
+        pixel.
+        """
         rles = list(rles)
-        return cls._build(((r.height, r.width) for r in rles), map(_rle_entry, rles))
+        shape = _one_shape((r.height, r.width) for r in rles)
+        n = len(rles)
+        if not n:
+            return cls(None, np.zeros((0, 4), dtype=np.intp), np.zeros(0, dtype=np.int64), ())
+        h, w = shape
+        run, end = _foreground_runs(rles)
+        col0, row0 = np.divmod(end - run, h)  # first pixel; columns count on from mask 0
+        col1, row1 = np.divmod(end - 1, h)  # last pixel
+        owner = col0 // w
+        new = np.diff(owner, prepend=-1) != 0
+        first = np.flatnonzero(new)  # each non-empty mask's first run
+        seg = np.cumsum(new) - 1  # each run's non-empty mask
+        who = owner[first]
+        full = np.logical_or.reduceat(col0 != col1, first)
+        r0 = np.where(full, 0, np.minimum.reduceat(row0, first))
+        r1 = np.where(full, h, np.maximum.reduceat(row1, first) + 1)
+        c0, c1 = col0[first], np.maximum.reduceat(col1, first) + 1
+        bh, size = r1 - r0, (r1 - r0) * (c1 - c0)
+        offset = np.cumsum(size) - size
+        # each run's place in the buffer, whose runs alternate background
+        # and foreground from its first pixel to its last
+        edges = np.empty(2 * run.size + 2, dtype=np.int64)
+        edges[0], edges[-1] = 0, size.sum()
+        edges[1:-1:2] = offset[seg] + (col0 - c0[seg]) * bh[seg] + (row0 - r0[seg])
+        edges[2:-1:2] = edges[1:-1:2] + run
+        buf = np.repeat(np.arange(edges.size - 1) % 2 == 1, np.diff(edges))
+
+        boxes = np.zeros((n, 4), dtype=np.intp)
+        boxes[who] = np.stack((r0, r1, c0 - who * w, c1 - who * w), axis=1)
+        areas = np.zeros(n, dtype=np.int64)
+        areas[who] = np.add.reduceat(run, first)
+        crops = [buf[:0].reshape((0, 0))] * n
+        for m, o, hh, ww in zip(who.tolist(), offset.tolist(), bh.tolist(), (c1 - c0).tolist()):
+            crops[m] = buf[o:o + hh * ww].reshape((hh, ww), order="F")
+        return cls(shape, boxes, areas, tuple(crops))
 
     @classmethod
     def from_dense(cls, masks) -> "MaskTable":
         """Table of dense bool masks; each crop is a view into its mask."""
         masks = [_as_mask(m) for m in masks]
-        return cls._build((m.shape for m in masks), map(_dense_entry, masks))
+        shape = _one_shape(m.shape for m in masks)
+        boxes, areas, crops = zip(*map(_dense_entry, masks)) if masks else ((), (), ())
+        return cls(shape, np.array(boxes, dtype=np.intp).reshape(-1, 4),
+                   np.array(areas, dtype=np.int64), tuple(crops))
 
     def __len__(self) -> int:
         return len(self.crops)

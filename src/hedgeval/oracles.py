@@ -146,6 +146,29 @@ def mask_nms_bruteforce(masks, scores, categories, iou_thr: float = 0.5) -> list
     return sorted(kept)
 
 
+def compress_leb_naive(counts) -> str:
+    """COCO counts string of run lengths ``counts``, one character at a time.
+
+    From count 3 on, the value written is the delta against the count two
+    positions earlier. Each value goes out in 5-bit groups, low groups
+    first, as the group plus 48, with bit 5 set while more groups follow;
+    emission stops once the rest of the value is its sign extension from
+    bit 4 of the last group.
+    """
+    out = []
+    for i, c in enumerate(counts):
+        x = c - counts[i - 2] if i > 2 else c
+        more = True
+        while more:
+            group = x & 0x1F
+            x >>= 5
+            more = (x != -1) if (group & 0x10) else (x != 0)
+            if more:
+                group |= 0x20
+            out.append(chr(group + 48))
+    return "".join(out)
+
+
 def decompress_leb_naive(s: str) -> list[int]:
     """Run lengths of a COCO counts string, one character at a time.
 

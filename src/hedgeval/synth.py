@@ -208,7 +208,8 @@ def _jittered(rle: RleMask, table: MaskTable, i: int, rng: np.random.Generator, 
     encoded from its crop, unless it stays inside the image, where it is a
     pure translation in column-major order: the mask's own runs with the
     first (background) run lengthened and the last one shortened by the
-    shift.
+    shift. Those runs are valid by construction, so the copy skips
+    ``RleMask``'s checks, as ``encode_box``'s output does.
     """
     h, w = rle.height, rle.width
     r0, r1, c0, c1 = table.boxes[i].tolist()
@@ -230,14 +231,14 @@ def _jittered(rle: RleMask, table: MaskTable, i: int, rng: np.random.Generator, 
         union = area + (area if inside else np.count_nonzero(kept)) - inter
         if not (union and inter / union >= JITTER_MIN_IOU):
             continue
-        if inside and min(rle.counts[1:], default=1) > 0:  # canonical runs translate exactly
+        if inside and 0 not in rle.counts[1:]:  # canonical runs translate exactly
             shift = dy + dx * h
             counts = list(rle.counts) + ([0] if len(rle.counts) % 2 == 0 else [])
             counts[0] += shift
             counts[-1] -= shift
             if counts[-1] == 0:
                 counts.pop()
-            return RleMask(h, w, counts)
+            return RleMask._unchecked(h, w, counts)
         return encode_box(kept, r0 + dy + y0, c0 + dx + x0, h, w)
     return encode_box(crop, r0, c0, h, w)
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -28,7 +29,7 @@ from hedgeval.mask import (
     table_iou,
     table_pairwise_iou,
 )
-from hedgeval.oracles import decompress_leb_naive, rasterize_polygon_naive
+from hedgeval.oracles import compress_leb_naive, decompress_leb_naive, rasterize_polygon_naive
 
 from _reference_rle import (
     rle_to_string_reference,
@@ -169,6 +170,25 @@ class TestEncodeLayouts:
         crop = m[r0:r1, c0:c1]
         assert list(encode_box(crop, r0, c0, h, w).counts) == runs_from_mask_bruteforce(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_masks(), st.sampled_from(LAYOUTS))
+    def test_built_masks_pass_validation(self, m, layout):
+        # encode and encode_box skip RleMask's checks; each mask must equal
+        # the one the checked constructor builds from the same runs
+        h, w = m.shape
+        rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        r0, c0 = (int(rows[0]), int(cols[0])) if rows.size else (0, 0)
+        r1, c1 = (int(rows[-1]) + 1, int(cols[-1]) + 1) if rows.size else (0, 0)
+        for rle in (encode(_in_layout(m, layout)), encode_box(m[r0:r1, c0:c1], r0, c0, h, w)):
+            assert rle == RleMask(h, w, rle.counts)
+            assert type(rle.counts) is tuple and all(type(c) is int for c in rle.counts)
+
+    @pytest.mark.parametrize("r0, c0, shape", [(-1, 0, (2, 2)), (0, -1, (2, 2)),
+                                               (4, 0, (2, 2)), (0, 6, (2, 2)), (0, 0, (6, 1))])
+    def test_box_outside_the_mask_rejected(self, r0, c0, shape):
+        with pytest.raises(ValueError, match="does not fit"):
+            encode_box(np.ones(shape, dtype=bool), r0, c0, 5, 7)
+
     def test_non_bool_masks(self, rng):
         m = random_mask(rng, 7, 9, density=0.3)
         for a in (m.astype(np.uint8), np.asfortranarray(m.astype(np.int32)), m.astype(float)[::-1, ::-1]):
@@ -206,6 +226,29 @@ class TestCountsString:
             s = compress_leb(rle)
             assert s == rle_to_string_reference(list(rle.counts))
             assert string_to_rle_reference(s) == list(rle.counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3000, 3000) | st.integers(0, 2**20) | st.integers(-2**70, 2**70)
+                    | st.integers(), max_size=40))
+    @example([2**61, -(2**61), 2**61 + 5, 7, 0, -1, -(2**64)])
+    def test_matches_per_character_oracle(self, counts):
+        # any ints, not only valid masks: negative, past 2**60, past the memo
+        s = compress_leb(SimpleNamespace(counts=counts))
+        assert s == compress_leb_naive(counts)
+        values = counts[:3] + [c - counts[i] for i, c in enumerate(counts[3:], 1)]
+        if min(counts, default=0) >= 0 and all(abs(v) < 2**58 for v in values):
+            assert next(leb_counts([s])) == counts
+
+    def test_more_distinct_values_than_the_memo_holds(self):
+        cap = 2 * mask_module._LEB_MEMO_SPAN
+        values = list(range(-3 * cap, 3 * cap, 3)) + [2**61 + k for k in range(50)]
+        counts = values[:3]  # the counts whose written values are ``values``
+        for v in values[3:]:
+            counts.append(v + counts[-2])
+        s = compress_leb(SimpleNamespace(counts=counts))
+        assert s == compress_leb_naive(counts)
+        assert 0 < len(mask_module._LEB_TEXT) <= cap
+        assert compress_leb(SimpleNamespace(counts=counts)) == s
 
     def test_truncated_string_rejected(self):
         # 81 background pixels need two 5-bit groups; cutting after the
@@ -471,11 +514,39 @@ class TestMaskTable:
             assert area == np.count_nonzero(m)
             r0, r1, c0, c1 = want
             assert crop.dtype == bool and np.array_equal(crop, m[r0:r1, c0:c1])
-            # the crop holds its box's pixels only, not a view into a larger array
-            assert crop.base is None or crop.base.size == crop.size
+        # every crop views its own slice of one buffer of the total box area:
+        # the crops hold their boxes' pixels only
+        if masks:
+            buffer = table.crops[0].base
+            sides = table.boxes[:, 1::2] - table.boxes[:, 0::2]
+            assert all(crop.base is buffer for crop in table.crops)
+            assert buffer.size == int(sides.prod(axis=1).sum())
+            for i, a in enumerate(table.crops):
+                assert not any(np.shares_memory(a, b) for b in table.crops[i + 1:])
 
     def test_edge_cases(self):
         self.check_entries(edge_cases())
+
+    def test_build_memory_is_the_table(self):
+        # 30 large disks in a 2048x2048 image: the build allocates little
+        # besides the table itself, nothing per box pixel but the buffer
+        h = w = 2048
+        rng = np.random.default_rng(5)
+        rles = []
+        for _ in range(30):
+            r = int(rng.integers(150, 400))
+            yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
+            r0, c0 = (int(v) for v in rng.integers(0, h - 2 * r - 1, size=2))
+            rles.append(encode_box(yy * yy + xx * xx <= r * r, r0, c0, h, w))
+        tracemalloc.start()
+        try:
+            table = MaskTable.from_rles(rles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = table.crops[0].base.nbytes + table.boxes.nbytes + table.areas.nbytes
+        assert own > 30 * 300 * 300
+        assert peak < 4 * own
 
     @pytest.mark.parametrize("counts, box", [
         ((1, 2, 0, 3, 3), (0, 3, 0, 2)),  # zero-length background between two runs

@@ -422,6 +422,17 @@ class TestPerfectDetector:
         got = [d.mask.counts for d in dets[1][n:]]
         assert got == spatial_copies_dense(ds, copies, jitter_px, seed)[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(jitter_datasets(), st.integers(1, 14), st.integers(1, 3), st.integers(0, 2**16))
+    def test_copies_pass_validation(self, ds, jitter_px, copies, seed):
+        # copies are built without RleMask's checks; each must equal the
+        # mask the checked constructor builds from the same runs
+        dets = perfect_detector(ds, spatial_copies=copies, jitter_px=jitter_px, seed=seed)
+        for d in dets[1]:
+            m = d.mask
+            assert m == RleMask(m.height, m.width, m.counts)
+            assert type(m.counts) is tuple and all(type(c) is int for c in m.counts)
+
     def test_copies_that_reach_or_leave_the_last_pixel(self):
         # a block one row above the bottom-right corner moves onto it (its
         # last background run shrinks to nothing), a block on the corner
