@@ -18,12 +18,12 @@ import numpy as np
 
 from .mask import (
     MalformedRleError,
+    MaskTable,
     RleMask,
     decode,
     encode,
     leb_counts,
     rasterize_polygon,
-    run_positions,
 )
 
 DERIVE_FROM_GT = "derive-from-gt"
@@ -288,13 +288,15 @@ def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
     shape = (image.height, image.width)
     masks: dict[int, np.ndarray] = {}
     for category_id, rles in groups.items():
-        # column-major, like the decoded masks it is compared with; each
-        # mask's foreground runs are ORed into it with no decode
-        dense = np.zeros(shape, dtype=bool, order="F")
         for r in rles:
             if (r.height, r.width) != shape:
                 raise ValueError(f"mask size {(r.height, r.width)} differs from image size {shape}")
-            dense.ravel(order="F")[run_positions(r.counts)] = True
+        # column-major, like the decoded masks it is compared with; each
+        # mask's crop is ORed into its box with no full-image decode
+        dense = np.zeros(shape, dtype=bool, order="F")
+        table = MaskTable.from_rles(rles)
+        for (r0, r1, c0, c1), crop in zip(table.boxes.tolist(), table.crops):
+            dense[r0:r1, c0:c1] |= crop
         masks[category_id] = dense
     return masks
 

@@ -28,6 +28,7 @@ from .hedging import (
     DEFAULT_DC_IOU_THRS,
     DcConfig,
     DetectionGraph,
+    check_distinct,
     dc_single,
     duplicate_confusion,
     naming_error,
@@ -70,6 +71,8 @@ class EvalConfig:
         for t in (*self.iou_thrs, self.f1_iou_thr, self.lrp_iou_thr):
             if not 0.0 < t < 1.0:
                 raise ValueError(f"IoU thresholds must lie in (0, 1), got {t}")
+        for name in ("iou_thrs", "dc_iou_thrs", "dc_conf_thrs"):
+            check_distinct(name, getattr(self, name))
         DcConfig(self.dc_iou_thrs, self.dc_conf_thrs)  # reuse its validation
         if not 0.0 <= self.min_score <= 1.0:
             raise ValueError("min_score must lie in [0, 1]")

@@ -26,6 +26,16 @@ DEFAULT_DC_IOU_THRS = tuple(np.arange(50, 100, 5) / 100.0)  # 0.50 .. 0.95
 DEFAULT_DC_CONF_THRS = tuple(np.arange(1, 10) / 10.0)  # 0.1 .. 0.9
 
 
+def check_distinct(name: str, values) -> None:
+    """Raise ``ValueError`` naming the first value ``values`` lists twice: a
+    repeated threshold would weigh its grid cells twice."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{name} lists {v} more than once")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class DcConfig:
     """Threshold grids for duplicate confusion."""
@@ -39,6 +49,8 @@ class DcConfig:
                 raise ValueError(f"thresholds must lie in (0, 1), got {v}")
         if not self.iou_thrs or not self.conf_thrs:
             raise ValueError("threshold grids must be non-empty")
+        check_distinct("iou_thrs", self.iou_thrs)
+        check_distinct("conf_thrs", self.conf_thrs)
 
 
 class DetectionGraph:

@@ -150,15 +150,6 @@ def decode(rle: RleMask) -> np.ndarray:
     return _paint(rle.counts, rle.height, rle.width)
 
 
-def run_positions(counts) -> np.ndarray:
-    """Column-major flat positions of the foreground pixels of RLE ``counts``:
-    each pixel's rank among them plus the background before its run."""
-    counts = np.asarray(counts, dtype=np.intp)
-    lens = counts[1::2]
-    before = np.cumsum(counts[0::2])[:lens.size]
-    return np.arange(lens.sum()) + np.repeat(before, lens)
-
-
 _LEB_CHAR_LO = 48
 _LEB_CHAR_HI = 111  # 48 + 63, all 6-bit group values
 _LEB_MEMO_SPAN = 2048  # values in [-2048, 2048) are memoised: at most 4096 strings

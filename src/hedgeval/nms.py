@@ -1,24 +1,27 @@
 """Duplicate-removal algorithms: classical mask NMS, matrix NMS, soft NMS,
 and semantic sorting + semantic NMS.
 
-The classical three compare detection pairs, so their per-image cost grows
-quadratically with the number of detections. They read each category's
-pairwise IoU from the image's mask table (``mask.MaskTable``, as ``eval``
-does), so no detection is decoded to H x W; ``oracles.mask_nms_bruteforce``
-is the dense spec of mask NMS. Semantic NMS instead treats the
-per-category semantic mask as an occupancy budget: a detection is kept iff at
-least ``thr`` of its pixels are still unclaimed, and keeping it subtracts its
-pixels from the budget. One pass, no pairwise comparisons.
+Every method reads the image's mask table (``mask.MaskTable``, as ``eval``
+does), built once per image, so no detection is decoded to H x W. The
+classical three compare detection pairs, so their per-image cost grows
+quadratically with the number of detections; they read each category's
+pairwise IoU from the table, and ``oracles.mask_nms_bruteforce`` is the
+dense spec of mask NMS. Semantic NMS instead treats the per-category
+semantic mask as an occupancy budget: a detection is kept iff at least
+``thr`` of its pixels are still unclaimed, and keeping it subtracts its
+pixels from the budget. One pass, no pairwise comparisons; each detection
+touches only its own box window of the budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import MaskTable, RleMask, run_positions, table_pairwise_iou
+from .mask import MaskTable, table_pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -53,8 +56,8 @@ class NmsConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 def _ranked_ious(table: MaskTable, scores, categories):
@@ -139,108 +142,75 @@ def soft_nms(table: MaskTable, scores, categories, decay: str = "gaussian", sigm
     return out
 
 
-def _memory_order(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``a`` flattened in its own memory order, a view unless ``a`` is not
-    contiguous (then a C-order copy), and whether that order is
-    column-major."""
-    fortran = a.flags.f_contiguous and not a.flags.c_contiguous
-    return a.ravel(order="F" if fortran else "C"), fortran
+def _check_shape(table: MaskTable, semantic: dict[int, np.ndarray]):
+    for m in semantic.values():
+        if table.shape is not None and m.shape != table.shape:
+            raise ValueError(f"mask shape {table.shape} differs from semantic mask shape {m.shape}")
 
 
-def _pixels(mask, shape, fortran: bool) -> np.ndarray:
-    """Flat positions of the mask's pixels in a budget of ``shape`` and the
-    given layout. A dense mask is scanned once in its own memory order, an
-    ``RleMask`` is read from its foreground runs (column-major) with no
-    decode; positions are converted only when the two layouts differ."""
-    rle = isinstance(mask, RleMask)
-    mask_shape = (mask.height, mask.width) if rle else mask.shape
-    if mask_shape != shape:
-        raise ValueError(f"mask shape {mask_shape} differs from semantic mask shape {shape}")
-    if rle:
-        idx, mask_fortran = run_positions(mask.counts), True
-    else:
-        flat, mask_fortran = _memory_order(mask)
-        idx = np.flatnonzero(flat)
-    if mask_fortran != fortran:
-        h, w = shape
-        if mask_fortran:
-            col, row = np.divmod(idx, h)
-            idx = row * w + col
-        else:
-            row, col = np.divmod(idx, w)
-            idx = row + col * h
-    return idx
-
-
-def semantic_sort(masks, scores, categories, semantic: dict[int, np.ndarray]):
+def semantic_sort(table: MaskTable, scores, categories, semantic: dict[int, np.ndarray]):
     """Rescore by agreement with the per-category semantic masks and reorder.
 
     combined = tau + precision-against-semantic + (1 - IoU-with-semantic);
     high precision rewards detections inside their class region, low IoU
     penalises ones pretending to be the whole region. Returns (order,
     combined) with ties broken by original tau, then ingestion order. A
-    category with no semantic mask counts as an empty mask. ``masks`` are
-    dense bool arrays or ``RleMask`` runs; each detection touches only its
-    own pixels of the semantic mask.
+    category with no semantic mask counts as an empty mask. Each detection
+    is counted on its own box window of the semantic mask. Spec:
+    ``oracles.semantic_sort_bruteforce``.
     """
+    _check_shape(table, semantic)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
-    regions = {c: (*_memory_order(m), m.shape, np.count_nonzero(m)) for c, m in semantic.items()}
+    sem_areas = {c: np.count_nonzero(m) for c, m in semantic.items()}
     combined = np.empty(n)
-    for k in range(n):
-        region = regions.get(categories[k])
+    for k, ((r0, r1, c0, c1), area) in enumerate(zip(table.boxes.tolist(), table.areas.tolist())):
+        sem = semantic.get(categories[k])
         pr, iou = 0.0, 0.0
-        if region is not None:
-            flat, fortran, shape, sem_area = region
-            idx = _pixels(masks[k], shape, fortran)
-            if idx.size:
-                inter = np.count_nonzero(flat[idx])
-                pr = inter / idx.size
-                union = idx.size + sem_area - inter
-                iou = inter / union if union else 0.0
+        if sem is not None and area:
+            inter = np.count_nonzero(sem[r0:r1, c0:c1] & table.crops[k])
+            pr = inter / area
+            iou = inter / (area + sem_areas[categories[k]] - inter)  # the union holds the area
         combined[k] = scores[k] + pr + (1.0 - iou)
     order = np.lexsort((np.arange(n), -scores, -combined))
     return order, combined
 
 
-def semantic_nms(masks, categories, semantic: dict[int, np.ndarray], thr: float = 0.5) -> list[bool]:
+def semantic_nms(table: MaskTable, categories, semantic: dict[int, np.ndarray],
+                 thr: float = 0.5) -> list[bool]:
     """Single-pass occupancy suppression over pre-sorted detections.
 
     ``semantic`` is the working budget and is consumed in place, in either
-    memory layout; pass copies if the originals matter. ``masks`` are dense
-    bool arrays or ``RleMask`` runs. Returns per-detection keep flags in the
-    given order. No detection is ever compared against another one, and each
-    touches only its own pixels.
+    memory layout; pass copies if the originals matter. A detection is kept
+    iff at least ``thr`` of its pixels are still free in its category's
+    budget, and a kept one clears its pixels from the budget's window of its
+    box. Returns per-detection keep flags in the table's order. No detection
+    is ever compared against another one. Spec:
+    ``oracles.semantic_nms_bruteforce``.
     """
-    budgets = {c: (*_memory_order(m), m.shape) for c, m in semantic.items()}
+    _check_shape(table, semantic)
     keep: list[bool] = []
-    for k, m in enumerate(masks):
-        entry = budgets.get(categories[k])
-        if entry is None:
+    for k, ((r0, r1, c0, c1), area) in enumerate(zip(table.boxes.tolist(), table.areas.tolist())):
+        budget = semantic.get(categories[k])
+        if budget is None or not area:
             keep.append(False)
             continue
-        budget, fortran, shape = entry
-        idx = _pixels(m, shape, fortran)
-        if idx.size and np.count_nonzero(budget[idx]) / idx.size >= thr:
-            keep.append(True)
-            budget[idx] = False
-        else:
-            keep.append(False)
-    for c, (budget, _, shape) in budgets.items():
-        if not np.may_share_memory(budget, semantic[c]):  # a non-contiguous budget's copy
-            semantic[c][...] = budget.reshape(shape)
+        window, crop = budget[r0:r1, c0:c1], table.crops[k]
+        kept = np.count_nonzero(window & crop) / area >= thr
+        if kept:
+            window &= ~crop  # a view: the budget itself, in its own layout
+        keep.append(bool(kept))
     return keep
 
 
-def _semantic_pass(dets: list[Detection], sem_set: SemanticMaskSet, cfg: NmsConfig) -> list[Detection]:
-    masks = [d.mask for d in dets]  # read as runs, never decoded
+def _semantic_pass(dets: list[Detection], table: MaskTable, sem_set: SemanticMaskSet,
+                   cfg: NmsConfig) -> list[Detection]:
     scores = [d.score for d in dets]
     categories = [d.category_id for d in dets]
-    order, combined = semantic_sort(masks, scores, categories, sem_set.masks)
+    order, combined = semantic_sort(table, scores, categories, sem_set.masks)
     working = {c: m.copy(order="K") for c, m in sem_set.masks.items()}
-    ordered_masks = [masks[i] for i in order]
-    ordered_cats = [categories[i] for i in order]
-    keep = semantic_nms(ordered_masks, ordered_cats, working, cfg.occupancy_thr)
+    keep = semantic_nms(table.take(order), [categories[i] for i in order], working,
+                        cfg.occupancy_thr)
     out = []
     for pos, i in enumerate(order):
         if not keep[pos]:
@@ -273,10 +243,10 @@ def run_nms(dets_by_image: dict[int, list[Detection]], cfg: NmsConfig,
         if not dets:
             out[image_id] = []
             continue
-        if cfg.method == "semantic":
-            out[image_id] = _semantic_pass(dets, semantic_sets[image_id], cfg)
-            continue
         table = MaskTable.from_rles(d.mask for d in dets)
+        if cfg.method == "semantic":
+            out[image_id] = _semantic_pass(dets, table, semantic_sets[image_id], cfg)
+            continue
         scores = np.array([d.score for d in dets], dtype=np.float64)
         categories = [d.category_id for d in dets]
         if cfg.method == "mask":

@@ -4,7 +4,9 @@ Everything here restates a production computation from first principles,
 with no shared acceleration structures, so the two can be checked against
 each other. The test suite is the primary consumer; ``eval --verify``
 reruns a sample of user data through these and fails loudly on divergence.
-Performance is deliberately not a concern.
+The NMS specs read dense masks over the whole image, where ``nms`` reads
+each detection's box crop from the image's mask table. Performance is
+deliberately not a concern.
 """
 
 from __future__ import annotations
@@ -144,6 +146,48 @@ def mask_nms_bruteforce(masks, scores, categories, iou_thr: float = 0.5) -> list
         else:
             kept.append(int(k))
     return sorted(kept)
+
+
+def semantic_sort_bruteforce(masks, scores, categories, semantic):
+    """Semantic rescoring of dense masks, counted over the whole image.
+
+    For detection D of score tau and its category's semantic mask S,
+    combined = tau + |D & S| / |D| + (1 - |D & S| / |D | S|); precision and
+    IoU are 0 for an empty D or a category with no semantic mask. Returns
+    (order, combined), the order by descending combined, then descending
+    tau, then ingestion.
+    """
+    combined = []
+    for k, m in enumerate(masks):
+        pr = iou = 0.0
+        sem = semantic.get(categories[k])
+        area = int(np.count_nonzero(m))
+        if sem is not None and area:
+            inter = int(np.count_nonzero(m & sem))
+            pr = inter / area
+            iou = inter / int(np.count_nonzero(m | sem))
+        combined.append(float(scores[k]) + pr + (1.0 - iou))
+    order = sorted(range(len(masks)), key=lambda k: (-combined[k], -float(scores[k]), k))
+    return np.array(order, dtype=np.intp), np.array(combined)
+
+
+def semantic_nms_bruteforce(masks, categories, semantic, thr: float = 0.5) -> list[bool]:
+    """Occupancy suppression of pre-sorted dense masks, over the whole image.
+
+    Each detection, in the given order, is kept iff its category has a
+    semantic mask, it is non-empty and at least ``thr`` of its pixels are
+    still set in that mask; keeping it clears all its pixels there.
+    ``semantic`` is consumed in place. Returns the keep flags.
+    """
+    keep = []
+    for m, c in zip(masks, categories):
+        budget = semantic.get(c)
+        area = int(np.count_nonzero(m))
+        kept = budget is not None and area > 0 and np.count_nonzero(m & budget) / area >= thr
+        if kept:
+            budget[m] = False
+        keep.append(bool(kept))
+    return keep
 
 
 def compress_leb_naive(counts) -> str:

@@ -14,6 +14,7 @@ and/or wrong-category copies of each instance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -63,14 +64,14 @@ class SynthConfig:
             raise ValueError("parts_per_image must be at least 1")
         if self.height < 1 or self.width < 1:
             raise ValueError("image size must be positive")
-        if not self.sigma_frac > 0:
-            raise ValueError("sigma_frac must be positive")
+        if not (math.isfinite(self.sigma_frac) and self.sigma_frac > 0):
+            raise ValueError(f"sigma_frac must be finite and positive, got {self.sigma_frac}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for name, (lo, hi) in (("length_range", self.length_range),
                                ("width_range", self.width_range)):
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or hi < lo:
+                raise ValueError(f"{name} must be finite with 0 <= lo <= hi, got ({lo}, {hi})")
         if self.width_range[0] <= 0:
             raise ValueError("part width must be positive")
         # A capsule's total extent is length + width (the caps add width/2
@@ -260,7 +261,7 @@ def perfect_detector(dataset: Dataset, spatial_copies: int = 0,
     if jitter_px < 1:
         raise ValueError("jitter_px must be at least 1")
     max_rank = spatial_copies + (1 if category_noise > 0 else 0)
-    if conf_step <= 0 or conf_step * max_rank >= 1:
+    if not math.isfinite(conf_step) or conf_step <= 0 or conf_step * max_rank >= 1:
         raise ValueError(
             f"conf_step {conf_step} with {max_rank} hedges per instance pushes "
             "confidences out of (0, 1]"

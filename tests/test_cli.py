@@ -79,6 +79,22 @@ class TestSynthCommand:
         assert result.exit_code == 2
         assert "larger than image" in result.stderr
 
+    def test_rejects_non_finite_part_sizes(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "synth", "--out", str(tmp_path / "x"), "--length-range", "nan,nan",
+        ])
+        assert result.exit_code == 2
+        assert "length_range" in result.stderr
+
+    def test_rejects_non_finite_conf_step(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "synth", "--out", str(tmp_path / "x"), "--n-images", "1",
+            "--spatial-copies", "1", "--conf-step", "nan",
+        ])
+        assert result.exit_code == 1
+        assert "conf_step nan" in result.stderr
+        assert not (tmp_path / "x" / "detections.json").exists()
+
     def test_category_noise_needs_second_category(self, runner, tmp_path):
         result = runner.invoke(main, [
             "synth", "--out", str(tmp_path / "x"), "--n-images", "1",
@@ -133,6 +149,18 @@ class TestEvalCommand:
         ])
         assert result.exit_code != 0
         assert "nope.json" in result.stderr
+
+    @pytest.mark.parametrize("option, field", [
+        ("--iou-thrs", "iou_thrs"), ("--dc-iou-thrs", "dc_iou_thrs"),
+        ("--dc-conf-thrs", "dc_conf_thrs"),
+    ])
+    def test_repeated_threshold_is_a_usage_error(self, runner, synth_dir, option, field):
+        result = runner.invoke(main, [
+            "eval", "--gt", str(synth_dir / "annotations.json"),
+            "--dt", str(synth_dir / "detections.json"), option, "0.5,0.5",
+        ])
+        assert result.exit_code == 2
+        assert f"{field} lists 0.5 more than once" in result.stderr
 
     def test_unknown_metric_name(self, runner, synth_dir):
         result = runner.invoke(main, [
@@ -194,6 +222,17 @@ class TestNmsCommand:
         ])
         assert result.exit_code == 1
         assert "--semantic" in result.stderr
+
+    @pytest.mark.parametrize("method", ["matrix", "soft"])
+    def test_non_finite_sigma_is_a_usage_error(self, runner, synth_dir, tmp_path, method):
+        result = runner.invoke(main, [
+            "nms", "--gt", str(synth_dir / "annotations.json"),
+            "--dt", str(synth_dir / "detections.json"),
+            "--out", str(tmp_path / "x.json"), "--method", method, "--sigma", "nan",
+        ])
+        assert result.exit_code == 2
+        assert "sigma" in result.stderr
+        assert not (tmp_path / "x.json").exists()
 
     def test_mask_method_needs_no_semantic(self, runner, synth_dir, tmp_path):
         out = tmp_path / "kept.json"

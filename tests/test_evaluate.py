@@ -57,6 +57,12 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["iou_thrs", "dc_iou_thrs", "dc_conf_thrs"])
+    def test_rejects_repeated_thresholds(self, field):
+        # a repeated threshold would count its AP flags or DC cells twice
+        with pytest.raises(ValueError, match=f"^{field} lists 0.5 more than once"):
+            EvalConfig(**{field: (0.5, 0.7, 0.5)})
+
 
 @pytest.fixture(scope="module")
 def synth():

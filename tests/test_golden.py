@@ -3,11 +3,13 @@
 A change meant to keep behaviour must keep every digest here. Each scene
 pins the ``eval`` report (minus ``created_at``), ``prcurve`` CSVs, and the
 files ``nms --method matrix``, ``soft``, ``mask`` and ``semantic
---semantic derive-from-gt`` keep. Each digest was recorded on the code
-before the change that it guards (the IoU paths were consolidated, then
-the semantic path and RLE ingestion were vectorised, then encoding and
-scene synthesis moved onto mask boxes); regenerate them only for a change
-that is meant to alter an output.
+--semantic derive-from-gt`` keep; ``synth`` output and semantic NMS with
+budgets read from a ``synth``-written ``semantic/`` directory are pinned
+too. Each digest was recorded on the code before the change that it
+guards (the IoU paths were consolidated, then the semantic path and RLE
+ingestion were vectorised, then encoding and scene synthesis moved onto
+mask boxes, then semantic NMS moved onto the mask table); regenerate them
+only for a change that is meant to alter an output.
 """
 
 import hashlib
@@ -174,6 +176,23 @@ def test_synth_coco_size_matches_golden_digests(tmp_path):
 
 def test_synth_hedged_matches_golden_digests(tmp_path):
     assert _synth_digests(SYNTH_HEDGED_ARGS, tmp_path) == SYNTH_HEDGED_GOLDEN
+
+
+# the file `nms --method semantic` keeps on the hedged scene above, with the
+# budgets read from the `semantic/` directory `synth` wrote: the path that
+# decodes each budget from its file rather than deriving it from masks
+SEMANTIC_DIR_GOLDEN = "1f2575a9e7b8b71219d3e18929bf505d2430475477e4aed770b9bae00a331405"
+
+
+def test_semantic_nms_from_directory_matches_golden_digest(tmp_path):
+    _synth_digests(SYNTH_HEDGED_ARGS, tmp_path)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "nms", "--gt", str(out / "annotations.json"), "--dt", str(out / "detections.json"),
+        "--out", str(tmp_path / "kept.json"), "--method", "semantic",
+        "--semantic", str(out / "semantic")])
+    assert result.exit_code == 0, result.output
+    assert _digest(tmp_path / "kept.json") == SEMANTIC_DIR_GOLDEN
 
 
 def border_scene():

@@ -215,6 +215,11 @@ class TestDcConfig:
         with pytest.raises(ValueError):
             DcConfig(iou_thrs=())
 
+    @pytest.mark.parametrize("field", ["iou_thrs", "conf_thrs"])
+    def test_rejects_repeated_values(self, field):
+        with pytest.raises(ValueError, match=f"^{field} lists 0.6 more than once"):
+            DcConfig(**{field: (0.6, 0.6)})
+
 
 class TestDuplicateConfusion:
     def test_no_groups_is_zero(self):

@@ -18,7 +18,11 @@ from hedgeval.nms import (
     semantic_sort,
     soft_nms,
 )
-from hedgeval.oracles import mask_nms_bruteforce
+from hedgeval.oracles import (
+    mask_nms_bruteforce,
+    semantic_nms_bruteforce,
+    semantic_sort_bruteforce,
+)
 
 
 def box(h, w, r0, c0, rows, cols):
@@ -52,6 +56,8 @@ class TestNmsConfig:
             {"iou_thr": 1.5},
             {"occupancy_thr": -0.1},
             {"sigma": 0.0},
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -253,38 +259,51 @@ class TestSoftNms:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+def table(*masks):
+    return MaskTable.from_dense(masks)
+
+
 class TestSemanticSort:
     def test_rescore_formula(self):
         det = box(8, 8, 0, 0, 2, 2)  # 4 px inside a 16 px region
         sem = {1: box(8, 8, 0, 0, 4, 4)}
-        _, combined = semantic_sort([det], [0.5], [1], sem)
+        _, combined = semantic_sort(table(det), [0.5], [1], sem)
         assert combined[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_disjoint_detection(self):
         det = box(8, 8, 6, 6, 2, 2)
         sem = {1: box(8, 8, 0, 0, 4, 4)}
-        _, combined = semantic_sort([det], [0.4], [1], sem)
+        _, combined = semantic_sort(table(det), [0.4], [1], sem)
         assert combined[0] == pytest.approx(1.4, abs=1e-12)
 
     def test_missing_category_counts_as_empty(self):
         det = box(8, 8, 0, 0, 2, 2)
-        _, combined = semantic_sort([det], [0.4], [7], {1: box(8, 8, 0, 0, 4, 4)})
+        _, combined = semantic_sort(table(det), [0.4], [7], {1: box(8, 8, 0, 0, 4, 4)})
         assert combined[0] == pytest.approx(1.4, abs=1e-12)
 
     def test_equal_masks_keep_tau_order(self):
         m = box(8, 8, 2, 2, 4, 4)
         sem = {1: m.copy()}
-        order, _ = semantic_sort([m, m], [0.9, 0.3], [1, 1], sem)
+        order, _ = semantic_sort(table(m, m), [0.9, 0.3], [1, 1], sem)
         assert order.tolist() == [0, 1]
-        order, _ = semantic_sort([m, m], [0.3, 0.9], [1, 1], sem)
+        order, _ = semantic_sort(table(m, m), [0.3, 0.9], [1, 1], sem)
         assert order.tolist() == [1, 0]
+
+    def test_combined_tie_breaks_by_tau_then_ingestion(self):
+        # inside: 0.25 + 1 + (1 - 4/16) = 2.0; outside: 1.0 + 0 + 1 = 2.0
+        inside, outside = box(8, 8, 0, 0, 2, 2), box(8, 8, 6, 6, 2, 2)
+        sem = {1: box(8, 8, 0, 0, 4, 4)}
+        order, combined = semantic_sort(table(inside, outside, inside), [0.25, 1.0, 0.25],
+                                        [1, 1, 1], sem)
+        assert combined.tolist() == [2.0, 2.0, 2.0]
+        assert order.tolist() == [1, 0, 2]
 
     def test_semantic_agreement_outranks_tau(self):
         # a tight in-region mask beats an inflated whole-region one
         tight = box(16, 16, 0, 0, 2, 2)
         whole = box(16, 16, 0, 0, 8, 8)
         sem = {1: whole.copy()}
-        order, _ = semantic_sort([whole, tight], [0.99, 0.1], [1, 1], sem)
+        order, _ = semantic_sort(table(whole, tight), [0.99, 0.1], [1, 1], sem)
         assert order.tolist() == [1, 0]
 
     def test_sum_and_mean_give_same_order(self, rng):
@@ -294,7 +313,7 @@ class TestSemanticSort:
             scores = (rng.integers(1, 5, size=n) / 5.0).tolist()
             cats = rng.integers(1, 3, size=n).tolist()
             sem = {1: random_mask(rng, 12, 12, 0.5), 2: random_mask(rng, 12, 12, 0.5)}
-            order, combined = semantic_sort(masks, scores, cats, sem)
+            order, combined = semantic_sort(table(*masks), scores, cats, sem)
             mean_order = np.lexsort((np.arange(n), -np.asarray(scores), -combined / 3.0))
             assert order.tolist() == mean_order.tolist()
 
@@ -303,33 +322,33 @@ class TestSemanticNms:
     def test_duplicate_support_consumed(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy()}
-        keep = semantic_nms([obj, obj.copy()], [1, 1], sem, thr=0.5)
+        keep = semantic_nms(table(obj, obj.copy()), [1, 1], sem, thr=0.5)
         assert keep == [True, False]
         assert not sem[1].any()
 
     def test_other_category_keeps_own_support(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy(), 2: obj.copy()}
-        keep = semantic_nms([obj, obj.copy()], [1, 2], sem, thr=0.5)
+        keep = semantic_nms(table(obj, obj.copy()), [1, 2], sem, thr=0.5)
         assert keep == [True, True]
 
     def test_wrong_category_with_empty_support_discarded(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy(), 2: np.zeros((8, 8), dtype=bool)}
-        keep = semantic_nms([obj, obj.copy()], [1, 2], sem, thr=0.5)
+        keep = semantic_nms(table(obj, obj.copy()), [1, 2], sem, thr=0.5)
         assert keep == [True, False]
 
     def test_missing_category_discarded(self):
         obj = box(8, 8, 2, 2, 4, 4)
-        keep = semantic_nms([obj], [9], {1: obj.copy()}, thr=0.5)
+        keep = semantic_nms(table(obj), [9], {1: obj.copy()}, thr=0.5)
         assert keep == [False]
 
     def test_threshold_boundary_inclusive(self):
         det = box(8, 8, 0, 0, 2, 2)  # 4 px, exactly half supported
         sem = {1: box(8, 8, 0, 0, 1, 2)}
-        assert semantic_nms([det], [1], sem, thr=0.5) == [True]
+        assert semantic_nms(table(det), [1], sem, thr=0.5) == [True]
         sem = {1: box(8, 8, 0, 0, 1, 2)}
-        assert semantic_nms([det], [1], sem, thr=0.51) == [False]
+        assert semantic_nms(table(det), [1], sem, thr=0.51) == [False]
 
     def test_kept_pairs_obey_occupancy_bound(self, rng):
         # anything kept after an earlier same-category keep had >= thr of its
@@ -342,9 +361,9 @@ class TestSemanticNms:
             for m in masks:
                 union |= m
             sem = {1: union.copy()}
-            order, _ = semantic_sort(masks, rng.random(n).tolist(), [1] * n, sem)
+            order, _ = semantic_sort(table(*masks), rng.random(n).tolist(), [1] * n, sem)
             ordered = [masks[i] for i in order]
-            keep = semantic_nms(ordered, [1] * n, sem, thr=thr)
+            keep = semantic_nms(table(*ordered), [1] * n, sem, thr=thr)
             kept = [m for m, k in zip(ordered, keep) if k]
             for later in range(1, len(kept)):
                 removed = np.zeros((12, 12), dtype=bool)
@@ -357,54 +376,31 @@ class TestSemanticNms:
         a = box(8, 8, 2, 2, 4, 4)
         b = box(8, 8, 2, 4, 4, 4)  # same area, half overlapping
         sem = {1: (a | b)}
-        keep = semantic_nms([a, b], [1, 1], sem, thr=0.5)
+        keep = semantic_nms(table(a, b), [1, 1], sem, thr=0.5)
         if all(keep):
             inter = np.count_nonzero(a & b)
             assert inter <= 0.5 * min(a.sum(), b.sum())
 
 
 class TestSemanticLayouts:
-    @pytest.mark.parametrize("mask_order", ["C", "F"])
     @pytest.mark.parametrize("budget_order", ["C", "F"])
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-    def test_layouts_agree_with_c_order(self, mask_order, budget_order, seed, n):
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           thr=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    def test_matches_dense_bruteforce(self, budget_order, seed, n, thr):
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(1, 12, size=2))
-        masks = [random_mask(rng, h, w, rng.random()) for _ in range(n)]
-        scores = rng.random(n)
+        # density 0 gives empty masks, small densities small boxes
+        masks = [random_mask(rng, h, w, rng.choice([0.0, 0.05, 0.3, 0.7, 1.0])) for _ in range(n)]
+        masks[n // 2] = masks[0]  # an exact copy
+        scores = np.round(rng.random(n), 1)  # one decimal: tied scores
         cats = rng.integers(1, 4, size=n).tolist()  # category 3 has no semantic mask
         sem = {c: random_mask(rng, h, w, rng.random()) for c in (1, 2)}
-        ref_order, ref_combined = semantic_sort(masks, scores, cats, sem)
+        ref_order, ref_combined = semantic_sort_bruteforce(masks, scores, cats, sem)
+        ordered_cats = [cats[i] for i in ref_order]
         ref_budget = {c: m.copy() for c, m in sem.items()}
-        ref_keep = semantic_nms([masks[i] for i in ref_order], [cats[i] for i in ref_order],
-                                ref_budget)
-
-        laid = [np.array(m, order=mask_order) for m in masks]
-        laid_sem = {c: np.array(m, order=budget_order) for c, m in sem.items()}
-        order, combined = semantic_sort(laid, scores, cats, laid_sem)
-        assert order.tolist() == ref_order.tolist()
-        assert combined.tolist() == ref_combined.tolist()
-        keep = semantic_nms([laid[i] for i in order], [cats[i] for i in order], laid_sem)
-        assert keep == ref_keep
-        for c in sem:  # consumed in place, layout kept
-            assert np.array_equal(laid_sem[c], ref_budget[c])
-            assert laid_sem[c].flags[f"{budget_order}_CONTIGUOUS"]
-
-    @pytest.mark.parametrize("budget_order", ["C", "F"])
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-    def test_runs_agree_with_dense_masks(self, budget_order, seed, n):
-        rng = np.random.default_rng(seed)
-        h, w = (int(v) for v in rng.integers(1, 12, size=2))
-        masks = [random_mask(rng, h, w, rng.random()) for _ in range(n)]
-        scores = rng.random(n)
-        cats = rng.integers(1, 4, size=n).tolist()  # category 3 has no semantic mask
-        sem = {c: random_mask(rng, h, w, rng.random()) for c in (1, 2)}
-        ref_order, ref_combined = semantic_sort(masks, scores, cats, sem)
-        ref_budget = {c: m.copy() for c, m in sem.items()}
-        ref_keep = semantic_nms([masks[i] for i in ref_order], [cats[i] for i in ref_order],
-                                ref_budget)
+        ref_keep = semantic_nms_bruteforce([masks[i] for i in ref_order], ordered_cats,
+                                           ref_budget, thr)
 
         rles = []
         for m in masks:
@@ -413,25 +409,29 @@ class TestSemanticLayouts:
                 at = int(rng.integers(0, len(counts) + 1))
                 counts[at:at] = [0, 0]
             rles.append(RleMask(h, w, counts))
-        laid_sem = {c: np.array(m, order=budget_order) for c, m in sem.items()}
-        order, combined = semantic_sort(rles, scores, cats, laid_sem)
-        assert order.tolist() == ref_order.tolist()
-        assert combined.tolist() == ref_combined.tolist()
-        keep = semantic_nms([rles[i] for i in order], [cats[i] for i in order], laid_sem)
-        assert keep == ref_keep
-        for c in sem:
-            assert np.array_equal(laid_sem[c], ref_budget[c])
+        for t in (MaskTable.from_rles(rles), MaskTable.from_dense(masks)):
+            laid = {c: np.array(m, order=budget_order) for c, m in sem.items()}
+            order, combined = semantic_sort(t, scores, cats, laid)
+            assert order.tolist() == ref_order.tolist()
+            assert combined.tolist() == ref_combined.tolist()
+            assert semantic_nms(t.take(order), ordered_cats, laid, thr) == ref_keep
+            for c in sem:  # consumed in place, layout kept
+                assert np.array_equal(laid[c], ref_budget[c])
+                assert laid[c].flags[f"{budget_order}_CONTIGUOUS"]
 
     def test_runs_of_another_shape_are_rejected(self):
         sem = {1: np.ones((4, 5), dtype=bool)}
+        t = MaskTable.from_rles([RleMask(5, 4, (20,))])
         with pytest.raises(ValueError, match="differs from semantic mask shape"):
-            semantic_nms([RleMask(5, 4, (20,))], [1], sem)
+            semantic_sort(t, [0.5], [1], sem)
+        with pytest.raises(ValueError, match="differs from semantic mask shape"):
+            semantic_nms(t, [1], sem)
 
     def test_column_major_budget_consumed_in_place(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: decode(encode(obj))}
         assert sem[1].flags.f_contiguous and not sem[1].flags.c_contiguous
-        assert semantic_nms([obj, obj.copy()], [1, 1], sem) == [True, False]
+        assert semantic_nms(table(obj, obj.copy()), [1, 1], sem) == [True, False]
         assert not sem[1].any()
 
 

@@ -144,6 +144,15 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("length_range", (float("nan"), float("nan"))),
+        ("width_range", (6.0, float("inf"))),
+        ("sigma_frac", float("inf")),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: value})
+
     def test_rejects_part_larger_than_image(self):
         with pytest.raises(ValueError, match="larger than image"):
             SynthConfig(height=64, width=64, length_range=(60.0, 60.0),
@@ -497,6 +506,7 @@ class TestPerfectDetector:
         {"jitter_px": 0},
         {"spatial_copies": 5, "conf_step": 0.2},
         {"conf_step": 0.0},
+        {"spatial_copies": 1, "conf_step": float("nan")},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         ds, _ = generate(SynthConfig(n_images=1, seed=4))
