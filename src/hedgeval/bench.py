@@ -5,8 +5,9 @@ cloned into identical lower-confidence duplicates. The pairwise baseline, the
 dense reference ``oracles.mask_nms_bruteforce``, rescans every candidate
 against the kept set (quadratic in the detection count at a fixed image
 size), while the occupancy pass touches each detection's box window once,
-reading the scene's mask table, which each timed call builds as ``nms``
-builds one per image. The image size stays constant across scene sizes so
+reading the scene's mask table. Each scene's masks are encoded once, and
+each timed call builds the table from those runs and sorts, as ``nms``
+does per image. The image size stays constant across scene sizes so
 per-operation pixel cost does not drift into the scaling measurement.
 """
 
@@ -17,7 +18,7 @@ from statistics import median
 
 import numpy as np
 
-from .mask import MaskTable
+from .mask import MaskTable, encode
 from .nms import semantic_nms, semantic_sort
 from .oracles import mask_nms_bruteforce
 
@@ -33,9 +34,12 @@ def build_hedged_scene(n: int, dup_factor: int = 4, seed: int = 0):
 
     n/dup_factor disjoint base squares score in [0.9, 1.0); each base gets
     dup_factor-1 identical copies scoring in [0.1, 0.9). Ingestion order is
-    shuffled. Returns (masks, scores, categories, semantic) where semantic
-    maps the category to the union of base masks.
+    shuffled. Returns (masks, rles, scores, categories, semantic): the dense
+    masks, their RLE encodings, and semantic, which maps the category to the
+    union of base masks.
     """
+    if dup_factor < 1:
+        raise ValueError(f"dup_factor must be at least 1, got {dup_factor}")
     if n < dup_factor or n % dup_factor:
         raise ValueError(f"n must be a positive multiple of dup_factor, got {n}")
     n_base = n // dup_factor
@@ -52,28 +56,29 @@ def build_hedged_scene(n: int, dup_factor: int = 4, seed: int = 0):
         m[r:r + MASK, c:c + MASK] = True
         base_masks.append(m)
 
-    masks, scores = [], []
-    for i, base in enumerate(base_masks):
-        masks.append(base)
-        scores.append(rng.uniform(0.9, 1.0))
-        for _ in range(dup_factor - 1):
+    masks, rles, scores = [], [], []
+    for base in base_masks:
+        rle = encode(base)  # copies share their base's runs
+        for copy in range(dup_factor):  # the base first, then its duplicates
             masks.append(base)
-            scores.append(rng.uniform(0.1, 0.9))
+            rles.append(rle)
+            scores.append(rng.uniform(0.1, 0.9) if copy else rng.uniform(0.9, 1.0))
 
     order = rng.permutation(n)
     masks = [masks[i] for i in order]
+    rles = [rles[i] for i in order]
     scores = np.asarray(scores, dtype=np.float64)[order]
     categories = np.full(n, CATEGORY, dtype=np.int64)
     semantic = {CATEGORY: np.logical_or.reduce(base_masks)}
-    return masks, scores, categories, semantic
+    return masks, rles, scores, categories, semantic
 
 
-def _run_mask(masks, scores, categories, semantic):
+def _run_mask(masks, rles, scores, categories, semantic):
     return mask_nms_bruteforce(masks, scores, categories, iou_thr=0.5)
 
 
-def _run_semantic(masks, scores, categories, semantic):
-    table = MaskTable.from_dense(masks)
+def _run_semantic(masks, rles, scores, categories, semantic):
+    table = MaskTable.from_rles(rles)
     working = {c: m.copy() for c, m in semantic.items()}
     order, _ = semantic_sort(table, scores, categories, semantic)
     cats = [int(categories[i]) for i in order]

@@ -232,6 +232,8 @@ def cmd_nms(gt, dt, out, method, iou_thr, score_floor, occupancy_thr, decay,
             sem_sets = load_semantic_masks(source, dataset, dets.by_image, conf_floor)
         except LoadError as e:
             raise click.ClickException(str(e))
+        except ValueError as e:
+            raise click.BadParameter(str(e), param_hint="--conf-floor")
     kept = run_nms(dets.by_image, cfg, semantic_sets=sem_sets)
     flat = [d for image_id in sorted(kept) for d in kept[image_id]]
     write_detections(flat, out)
@@ -320,14 +322,12 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
     wanted = ((category,) if category is not None else tuple(sorted(dataset.categories)))
     scores, flags, n_gt = [np.zeros(0)], [np.zeros(0, dtype=bool)], 0
     for image_id in sorted(dataset.images):
-        _, _, ranked = ranked_image(dataset.gts_by_image.get(image_id, []),
-                                    dets.by_image.get(image_id, []), cfg)
-        for cat in wanted:
-            if cat in ranked:
-                s, ious, flags_by_t = ranked[cat]
-                n_gt += ious.shape[1]
-                scores.append(s)
-                flags.append(flags_by_t[iou_thr])
+        *_, rows = ranked_image(dataset.gts_by_image.get(image_id, []),
+                                dets.by_image.get(image_id, []), cfg.iou_thrs, cfg.max_dets)
+        for r in (rows[cat] for cat in wanted if cat in rows):
+            n_gt += r.n_gt
+            scores.append(r.scores)
+            flags.append(r.flags[iou_thr])
     curve = build_pr_curve(np.concatenate(scores), np.concatenate(flags), n_gt, iou_thr, category)
     writer = csv.writer(out)
     writer.writerow(["rank", "confidence", "is_tp", "precision", "recall"])

@@ -313,8 +313,11 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
     conf_floor, requires ``detections``). Directory files are checked
     first, then their masks are built with the counts strings decoded in
     batches, as the two loaders do; errors name the first faulty file in
-    (image, category) order.
+    (image, category) order. A ``conf_floor`` outside [0, 1], NaN included,
+    raises ``ValueError``.
     """
+    if not 0.0 <= conf_floor <= 1.0:
+        raise ValueError(f"conf_floor must lie in [0, 1], got {conf_floor}")
     out: dict[int, SemanticMaskSet] = {}
     if source == DERIVE_FROM_GT:
         for image_id, img in dataset.images.items():

@@ -4,6 +4,11 @@ Metric paths and their detection sets:
 
 - AP / mAP and LRP / oLRP rank detections by confidence and cap each image
   at ``max_dets`` (top confidences, ties by file order) before matching.
+  ``ranked_image`` does both, and matches each (image, category) once per
+  distinct threshold of ``iou_thrs`` and ``lrp_iou_thr`` into one record
+  (``_Rows``): scores, TP flags and matched IoUs. LRP and oLRP read the
+  record at ``lrp_iou_thr``, AP at each of ``iou_thrs``, and ``prcurve``
+  at its one threshold.
 - F1 and the FP:TP ratio curve use every emitted detection with score >=
   ``min_score`` (default 0, so every detection), uncapped.
 - Duplicate confusion and naming error see the full unfiltered detection
@@ -11,7 +16,8 @@ Metric paths and their detection sets:
 
 Per-image work is independent and runs on a thread pool; the reduction
 happens on the calling thread in image-id order, so results are identical
-for any worker count.
+for any worker count. It concatenates each category's records over images,
+and pools the F1 path image-major, then by category.
 """
 
 from __future__ import annotations
@@ -84,19 +90,17 @@ class EvalConfig:
             raise ValueError("verify_seed must be non-negative")
 
 
-@dataclass
-class _ImageSlice:
-    """Everything the reduction needs from one image."""
+@dataclass(frozen=True)
+class _Rows:
+    """One category's ranked (AP/LRP) detections in one image, or pooled
+    over images: the scores of the detections the ``max_dets`` cap keeps, in
+    file order, and per IoU threshold their greedy TP flags and matched IoUs
+    (0.0 for an FP)."""
 
-    ranked: dict  # cat -> scores, per-threshold TP flags, LRP flags/IoUs
-    plain: dict  # cat -> scores, TP flags, tp count, n_det (F1 path)
-    dc_groups: list  # (scores, pairwise IoU) per category with detections
-    ne_item: tuple  # (det x gt IoU matrix, det labels, gt labels)
-    n_gt: dict  # cat -> ground-truth count
-
-
-def _flags(match) -> np.ndarray:
-    return np.array([g is not None for g in match.det_to_gt], dtype=bool)
+    scores: np.ndarray
+    flags: dict  # thr -> bool per detection
+    ious: dict  # thr -> matched IoU per detection
+    n_gt: int
 
 
 def image_table(gts, dets) -> MaskTable:
@@ -111,14 +115,13 @@ def _det_gt_iou(table: MaskTable, n_dets: int) -> np.ndarray:
                      table.take(np.arange(n_dets, len(table))))
 
 
-def ranked_image(gts, dets, cfg: EvalConfig):
+def ranked_image(gts, dets, thrs, max_dets: int):
     """Build one image's mask table and match its ranked (AP/LRP) path.
 
-    Returns the ``image_table``, its det x GT IoU block and, per category
-    with a detection or a ground truth, ``(scores, ious, flags)``: the
-    scores of the detections kept by the ``max_dets`` cap in file order,
-    their IoU rows against the category's ground truths, and their greedy
-    TP flags at each of ``cfg.iou_thrs``.
+    Returns the ``image_table``, its det x GT IoU block, the detections'
+    scores and categories, the ground truths' categories and, per category
+    with a detection or a ground truth, its ``_Rows``: one greedy match per
+    threshold of ``thrs`` over the detections kept by the ``max_dets`` cap.
     """
     table = image_table(gts, dets)
     det_gt = _det_gt_iou(table, len(dets))
@@ -126,63 +129,48 @@ def ranked_image(gts, dets, cfg: EvalConfig):
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
 
-    if len(dets) > cfg.max_dets:
-        capped = np.sort(confidence_order(scores)[:cfg.max_dets])
+    if len(dets) > max_dets:
+        capped = np.sort(confidence_order(scores)[:max_dets])
     else:
         capped = np.arange(len(dets))
 
-    ranked = {}
+    rows = {}
     for cat in sorted(set(det_cats.tolist()) | set(gt_cats.tolist())):
         d = capped[det_cats[capped] == cat]
-        ious = det_gt[np.ix_(d, np.flatnonzero(gt_cats == cat))]
-        s = scores[d]
-        ranked[cat] = (s, ious, {
-            t: _flags(greedy_match_from_ious(ious, s, t)) for t in cfg.iou_thrs
-        })
-    return table, det_gt, ranked
+        g = np.flatnonzero(gt_cats == cat)
+        ious, s = det_gt[np.ix_(d, g)], scores[d]
+        matched = {t: np.array(greedy_match_from_ious(ious, s, t).det_iou, dtype=np.float64)
+                   for t in thrs}
+        # a TP's IoU reaches its threshold, which is positive; an FP's is 0.0
+        rows[cat] = _Rows(s, {t: v > 0 for t, v in matched.items()}, matched, int(g.size))
+    return table, det_gt, scores, det_cats, gt_cats, rows
 
 
-def _image_slice(gts, dets, cfg: EvalConfig) -> _ImageSlice:
-    table, det_gt, ranked_by_cat = ranked_image(gts, dets, cfg)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
-    gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
-
-    ranked, plain, dc_groups, n_gt = {}, {}, [], {}
-    for cat, (s, ious, flags_by_t) in ranked_by_cat.items():
+def _image_slice(gts, dets, cfg: EvalConfig, thrs):
+    """Everything the reduction needs from one image: the ranked records,
+    per category the F1 path's (scores, TP flags), the DC groups and the
+    NE item."""
+    table, det_gt, scores, det_cats, gt_cats, ranked = ranked_image(gts, dets, thrs, cfg.max_dets)
+    plain, dc_groups = {}, []
+    for cat in ranked:
         d_all = np.flatnonzero(det_cats == cat)
-        g_idx = np.flatnonzero(gt_cats == cat)
-        n_gt[cat] = int(g_idx.size)
-
-        lres = greedy_match_from_ious(ious, s, cfg.lrp_iou_thr)
-        ranked[cat] = {
-            "scores": s,
-            "flags": flags_by_t,
-            "lrp_flags": _flags(lres),
-            "lrp_ious": np.asarray(lres.det_iou, dtype=np.float64),
-        }
-
-        rows = np.flatnonzero(scores[d_all] >= cfg.min_score)
-        s = scores[d_all[rows]]
-        fres = greedy_match_from_ious(det_gt[np.ix_(d_all[rows], g_idx)], s, cfg.f1_iou_thr)
-        plain[cat] = {"scores": s, "flags": _flags(fres),
-                      "tp": fres.n_tp, "n_det": int(rows.size)}
-
+        d = d_all[scores[d_all] >= cfg.min_score]
+        match = greedy_match_from_ious(det_gt[np.ix_(d, np.flatnonzero(gt_cats == cat))],
+                                       scores[d], cfg.f1_iou_thr)
+        plain[cat] = (scores[d], np.array(match.det_iou) > 0)  # TPs, as in ranked_image
         if d_all.size:
             dc_groups.append((scores[d_all], table_pairwise_iou(table.take(d_all))))
-
-    ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
-    return _ImageSlice(ranked, plain, dc_groups, ne_item, n_gt)
+    return ranked, plain, dc_groups, (det_gt, det_cats.tolist(), gt_cats.tolist())
 
 
-def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig):
-    """One ``_ImageSlice`` per image, in image-id order: the inputs of every
-    metric path, with the ranked path capped and matched per ``cfg.iou_thrs``."""
+def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs):
+    """One ``_image_slice`` per image, in image-id order: the inputs of every
+    metric path, with the ranked path capped and matched per ``thrs``."""
     ids = sorted(dataset.images)
 
     def work(image_id):
         return _image_slice(dataset.gts_by_image.get(image_id, []),
-                            dets_by_image.get(image_id, []), cfg)
+                            dets_by_image.get(image_id, []), cfg, thrs)
 
     if cfg.threads == 1:
         return [work(i) for i in ids]
@@ -197,8 +185,16 @@ def _mean_defined(values) -> float | None:
     return float(np.mean(defined)) if defined else None
 
 
-def _concat(chunks) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+def _concat(chunks, dtype=np.float64) -> np.ndarray:
+    return np.concatenate([*chunks, np.zeros(0, dtype)])
+
+
+def _pool(records, thrs) -> _Rows:
+    """One category's records over images, concatenated image-major."""
+    return _Rows(_concat(r.scores for r in records),
+                 {t: _concat((r.flags[t] for r in records), bool) for t in thrs},
+                 {t: _concat(r.ious[t] for r in records) for t in thrs},
+                 sum(r.n_gt for r in records))
 
 
 def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
@@ -209,76 +205,53 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     entry count as having no detections.
     """
     cfg = cfg or EvalConfig()
-    slices = compute_slices(dataset, dets_by_image, cfg)
+    thrs = dict.fromkeys((*cfg.iou_thrs, cfg.lrp_iou_thr))
+    slices = compute_slices(dataset, dets_by_image, cfg, thrs)
     cats = sorted(dataset.categories)
-
-    n_gt = {c: 0 for c in cats}
-    ap_scores = {c: [] for c in cats}
-    ap_flags = {c: {t: [] for t in cfg.iou_thrs} for c in cats}
-    lrp_flags = {c: [] for c in cats}
-    lrp_ious = {c: [] for c in cats}
-    f1_tp = {c: 0 for c in cats}
-    f1_det = {c: 0 for c in cats}
-    pool_scores, pool_flags = [], []
-    dc_groups, ne_items = [], []
-
-    for sl in slices:
-        for cat, count in sl.n_gt.items():
-            n_gt[cat] += count
-        for cat, r in sl.ranked.items():
-            ap_scores[cat].append(r["scores"])
-            for t in cfg.iou_thrs:
-                ap_flags[cat][t].append(r["flags"][t])
-            lrp_flags[cat].append(r["lrp_flags"])
-            lrp_ious[cat].append(r["lrp_ious"])
-        for cat, p in sl.plain.items():
-            f1_tp[cat] += p["tp"]
-            f1_det[cat] += p["n_det"]
-            pool_scores.append(p["scores"])
-            pool_flags.append(p["flags"])
-        dc_groups.extend(sl.dc_groups)
-        ne_items.append(sl.ne_item)
+    pooled = {c: _pool([r[c] for r, *_ in slices if c in r], thrs) for c in cats}
 
     curves = {}
     ap = {c: {} for c in cats}
-    for cat in cats:
-        scores = _concat(ap_scores[cat])
+    for cat, rows in pooled.items():
         for t in cfg.iou_thrs:
-            curve = build_pr_curve(scores, _concat(ap_flags[cat][t]),
-                                   n_gt[cat], t, cat)
+            curve = build_pr_curve(rows.scores, rows.flags[t], rows.n_gt, t, cat)
             curves[(cat, t)] = curve
             ap[cat][t] = average_precision(curve)
 
     lrp_by_cat, olrp_by_cat = {}, {}
-    for cat in cats:
-        if n_gt[cat] == 0:
+    t = cfg.lrp_iou_thr
+    for cat, rows in pooled.items():
+        if rows.n_gt == 0:
             continue
-        flags = _concat(lrp_flags[cat]).astype(bool)
-        ious = _concat(lrp_ious[cat])
-        res = lrp_from_matching(ious[flags], int((~flags).sum()),
-                                n_gt[cat] - int(flags.sum()), cfg.lrp_iou_thr)
-        lrp_by_cat[cat] = res
-        best, _ = olrp_scan(_concat(ap_scores[cat]), flags, ious,
-                            n_gt[cat], cfg.lrp_iou_thr)
-        olrp_by_cat[cat] = best.lrp
+        flags, ious = rows.flags[t], rows.ious[t]
+        lrp_by_cat[cat] = lrp_from_matching(ious[flags], int((~flags).sum()),
+                                            rows.n_gt - int(flags.sum()), t)
+        olrp_by_cat[cat] = olrp_scan(rows.scores, flags, ious, rows.n_gt, t)[0].lrp
 
-    total_gt = sum(n_gt.values())
+    # image-major, then category: build_pr_curve breaks score ties by input order
+    plain = [(cat, s, f) for _, by_cat, *_ in slices for cat, (s, f) in by_cat.items()]
+    f1_tp, f1_det = dict.fromkeys(cats, 0), dict.fromkeys(cats, 0)
+    for cat, _, f in plain:
+        f1_tp[cat] += int(f.sum())
+        f1_det[cat] += f.size
+    total_gt = sum(r.n_gt for r in pooled.values())
     total_tp = sum(f1_tp.values())
     total_det = sum(f1_det.values())
-    pooled = build_pr_curve(_concat(pool_scores), _concat(pool_flags),
-                            total_gt, cfg.f1_iou_thr)
+    curve = build_pr_curve(_concat(s for _, s, _ in plain),
+                           _concat((f for _, _, f in plain), bool), total_gt, cfg.f1_iou_thr)
     bins = np.linspace(0.0, 1.0, 11)
-    ratios = fp_tp_ratio_curve(pooled, bins)
+    ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc_res = duplicate_confusion(dc_groups, DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
-    ne_res = naming_error(ne_items)
+    dc_res = duplicate_confusion([g for _, _, groups, _ in slices for g in groups],
+                                 DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
+    ne_res = naming_error([ne for *_, ne in slices])
 
     metrics = {
         "map": mean_ap([ap[c][t] for c in cats for t in cfg.iou_thrs]),
         "ap_per_category": {str(c): mean_ap(ap[c].values()) for c in cats},
         "f1": f1_from_counts(total_tp, total_det - total_tp, total_gt - total_tp),
         "f1_per_category": {
-            str(c): f1_from_counts(f1_tp[c], f1_det[c] - f1_tp[c], n_gt[c] - f1_tp[c])
+            str(c): f1_from_counts(f1_tp[c], f1_det[c] - f1_tp[c], pooled[c].n_gt - f1_tp[c])
             for c in cats
         },
         "dc": dc_res.dc,

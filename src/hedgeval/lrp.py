@@ -31,15 +31,11 @@ class LrpResult:
     fn: int
 
 
-def lrp_from_matching(tp_ious, n_fp: int, n_fn: int, iou_thr: float) -> LrpResult:
-    """Assemble the error from matched-pair IoUs and FP/FN counts."""
-    tp_ious = np.asarray(tp_ious, dtype=np.float64)
-    n_tp = len(tp_ious)
+def _components(loc, n_tp: int, n_fp: int, n_fn: int) -> LrpResult:
+    """LRP and its components from the summed localisation error and counts."""
     total = n_tp + n_fp + n_fn
     if total == 0:
         return LrpResult(None, None, None, None, 0, 0, 0)
-    # at t = 1 matched pairs are pixel-perfect, so the loc term vanishes
-    loc = float(((1.0 - tp_ious) / (1.0 - iou_thr)).sum()) if iou_thr < 1.0 else 0.0
     return LrpResult(
         lrp=(loc + n_fp + n_fn) / total,
         lrp_loc=loc / n_tp if n_tp else None,
@@ -49,6 +45,14 @@ def lrp_from_matching(tp_ious, n_fp: int, n_fn: int, iou_thr: float) -> LrpResul
         fp=n_fp,
         fn=n_fn,
     )
+
+
+def lrp_from_matching(tp_ious, n_fp: int, n_fn: int, iou_thr: float) -> LrpResult:
+    """Assemble the error from matched-pair IoUs and FP/FN counts."""
+    tp_ious = np.asarray(tp_ious, dtype=np.float64)
+    # at t = 1 matched pairs are pixel-perfect, so the loc term vanishes
+    loc = float(((1.0 - tp_ious) / (1.0 - iou_thr)).sum()) if iou_thr < 1.0 else 0.0
+    return _components(loc, len(tp_ious), n_fp, n_fn)
 
 
 def lrp(det_masks, det_scores, gt_masks, iou_thr: float = 0.5) -> LrpResult:
@@ -81,31 +85,15 @@ def olrp_scan(scores, is_tp, tp_iou, n_gt: int, iou_thr: float) -> tuple[LrpResu
     scale = 1.0 / (1.0 - iou_thr) if iou_thr < 1.0 else 0.0
     loc_cum = np.cumsum(np.where(is_tp, (1.0 - tp_iou) * scale, 0.0))
     # last rank of each distinct score value = its cutoff prefix
-    boundaries = np.flatnonzero(np.diff(scores, append=-np.inf) != 0)
-    best: LrpResult | None = None
-    best_cut = None
-    for b in boundaries:
-        n_tp = int(tp_cum[b])
-        n_fp = (b + 1) - n_tp
-        n_fn = n_gt - n_tp
-        total = n_tp + n_fp + n_fn
-        if total == 0:
-            continue
-        value = (loc_cum[b] + n_fp + n_fn) / total
-        if best is None or value < best.lrp:
-            best = LrpResult(
-                lrp=value,
-                lrp_loc=loc_cum[b] / n_tp if n_tp else None,
-                lrp_fp=n_fp / (n_tp + n_fp) if n_tp + n_fp else None,
-                lrp_fn=n_fn / (n_tp + n_fn) if n_tp + n_fn else None,
-                tp=n_tp,
-                fp=n_fp,
-                fn=n_fn,
-            )
-            best_cut = float(scores[b])
-    if best is None:
-        return lrp_from_matching([], 0, n_gt, iou_thr), None
-    return best, best_cut
+    cuts = np.flatnonzero(np.diff(scores, append=-np.inf) != 0)
+    n_tp = tp_cum[cuts]
+    n_fp = cuts + 1 - n_tp
+    n_fn = n_gt - n_tp
+    # every prefix holds a detection, so no total is 0
+    values = (loc_cum[cuts] + n_fp + n_fn) / (n_tp + n_fp + n_fn)
+    b = cuts[np.argmin(values)]  # the first minimum: the highest such cutoff
+    n_tp = int(tp_cum[b])
+    return _components(loc_cum[b], n_tp, int(b) + 1 - n_tp, n_gt - n_tp), float(scores[b])
 
 
 def olrp(det_masks, det_scores, gt_masks, iou_thr: float = 0.5) -> tuple[LrpResult, float | None]:

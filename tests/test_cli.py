@@ -254,6 +254,18 @@ class TestNmsCommand:
         ])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("floor", ["nan", "7", "-0.5"])
+    def test_conf_floor_outside_unit_interval_is_a_usage_error(self, runner, synth_dir,
+                                                               tmp_path, floor):
+        result = runner.invoke(main, [
+            "nms", "--gt", str(synth_dir / "annotations.json"),
+            "--dt", str(synth_dir / "detections.json"), "--out", str(tmp_path / "x.json"),
+            "--semantic", "derive-from-dt", "--conf-floor", floor,
+        ])
+        assert result.exit_code == 2
+        assert "conf_floor must lie in [0, 1]" in result.stderr
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestPrcurveCommand:
     def test_csv_matches_toy_ranking(self, runner, tmp_path):
@@ -313,6 +325,12 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench-nms", "--sizes", "101"])
         assert result.exit_code == 2
         assert "multiple" in result.stderr
+
+    @pytest.mark.parametrize("dup_factor", ["0", "-1"])
+    def test_dup_factor_below_one_is_a_usage_error(self, runner, dup_factor):
+        result = runner.invoke(main, ["bench-nms", "--sizes", "8", "--dup-factor", dup_factor])
+        assert result.exit_code == 2
+        assert "dup_factor must be at least 1" in result.stderr
 
 
 class TestImports:

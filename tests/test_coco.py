@@ -406,6 +406,20 @@ class TestSemanticMasks:
         with pytest.raises(ValueError, match="differs from image size"):
             load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
 
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5, float("inf")])
+    @pytest.mark.parametrize("source", [DERIVE_FROM_GT, DERIVE_FROM_DT])
+    def test_conf_floor_outside_unit_interval(self, gt_file, source, floor):
+        ds = load_ground_truth(gt_file([]))
+        with pytest.raises(ValueError, match=r"conf_floor must lie in \[0, 1\]"):
+            load_semantic_masks(source, ds, detections={1: []}, conf_floor=floor)
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    def test_conf_floor_bounds_are_valid(self, gt_file, floor):
+        ds = load_ground_truth(gt_file([]))
+        dets = {1: [Detection(1, 1, 1.0, encode(block(8, 8, 0, 0, 2, 2)))]}
+        sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets, conf_floor=floor)
+        assert sem[1].masks[1].sum() == 4
+
     def test_derive_from_dt_requires_detections(self, gt_file):
         ds = load_ground_truth(gt_file([]))
         with pytest.raises(ValueError, match="detections"):
@@ -493,6 +507,32 @@ class TestSchemas:
         write_semantic_masks([SemanticMaskSet(1, {1: block(8, 8, 0, 0, 2, 2)})], tmp_path)
         seg = json.loads((tmp_path / "1" / "1.json").read_text())
         validator_for("semantic_mask.schema.json").validate(seg)
+
+    @pytest.mark.parametrize("extra", [[], ["--verify"]])
+    def test_report_schema_matches_eval_reports(self, tmp_path, small_dataset, validator_for, extra):
+        from click.testing import CliRunner
+        from jsonschema import ValidationError
+
+        from hedgeval.cli import main
+
+        gt, dt, out = tmp_path / "gt.json", tmp_path / "dt.json", tmp_path / "report.json"
+        write_ground_truth(small_dataset, gt)
+        write_detections([Detection(1, 1, 0.9, encode(block(8, 8, 0, 0, 3, 3))),
+                          Detection(1, 2, 0.4, encode(block(8, 8, 4, 4, 2, 2)))], dt)
+        result = CliRunner().invoke(main, ["eval", "--gt", str(gt), "--dt", str(dt),
+                                           "--out", str(out), *extra])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        validator = validator_for("report.schema.json")
+        validator.validate(report)
+        schema = validator.schema["properties"]
+        # every key a report writes is declared, and every metric is required
+        assert set(schema["config"]["properties"]) == set(report["config"])
+        assert set(schema["metrics"]["required"]) == set(report["metrics"])
+        assert ("verify" in report) == bool(extra)
+        del report["metrics"]["dc"]
+        with pytest.raises(ValidationError, match="'dc' is a required property"):
+            validator.validate(report)
 
     def test_detection_schema_rejects_missing_score(self, validator_for):
         from jsonschema import ValidationError

@@ -16,7 +16,8 @@ from hedgeval.coco import (
     ImageInfo,
 )
 from hedgeval.evaluate import EvalConfig, build_report, evaluate
-from hedgeval.mask import MaskTable, encode
+from hedgeval.lrp import lrp, olrp
+from hedgeval.mask import MaskTable, decode, encode
 from hedgeval.synth import SynthConfig, generate, perfect_detector
 
 H = W = 32
@@ -167,6 +168,26 @@ class TestPerCategory:
         assert metrics["lrp_loc"] == 0.0
         assert metrics["ne"] == 0.0
 
+    @pytest.mark.parametrize("iou_thrs, lrp_thr", [
+        ((0.5,), 0.8),  # the LRP threshold is no AP threshold
+        ((0.5, 0.8), 0.8),  # it is one, not the first
+        ((0.8, 0.5), 0.5),
+    ])
+    def test_lrp_reads_the_match_at_its_own_threshold(self, iou_thrs, lrp_thr):
+        # the first detection overlaps its GT at IoU 0.6: a TP at 0.5, an FP at 0.8
+        gts = [box(2, 2), box(20, 20)]
+        det_specs = [(box(2, 3), 0.9), (box(20, 20), 0.8)]
+        ds, dets = scene([(g, 1) for g in gts], [(m, 1, s) for m, s in det_specs])
+        metrics, _ = evaluate(ds, dets, EvalConfig(iou_thrs=iou_thrs, lrp_iou_thr=lrp_thr))
+        dm = [decode(m) for m, _ in det_specs]
+        scores = [s for _, s in det_specs]
+        want = lrp(dm, scores, [decode(g) for g in gts], lrp_thr)
+        assert want.lrp == pytest.approx(0.4 if lrp_thr == 0.5 else 2 / 3)
+        for name in ("lrp", "lrp_loc", "lrp_fp", "lrp_fn"):
+            assert metrics[name] == pytest.approx(getattr(want, name), abs=1e-12)
+        best, _ = olrp(dm, scores, [decode(g) for g in gts], lrp_thr)
+        assert metrics["olrp"] == pytest.approx(best.lrp, abs=1e-12)
+
 
 class TestDetectionSetSemantics:
     def test_max_dets_caps_ranked_metrics_only(self):
@@ -197,6 +218,21 @@ class TestDetectionSetSemantics:
         curve = metrics["fp_tp_curve"]
         assert curve["0.00"] is None  # rank 1 has no TP yet
         assert all(curve[f"{b / 10:.2f}"] == 1.0 for b in range(1, 11))
+
+
+    def test_f1_pool_is_image_major(self):
+        # equal scores rank in pooling order: image 1's two TPs (one per
+        # category) come before image 2's two FPs only if images go first
+        cats = {1: CategoryInfo(1, "a"), 2: CategoryInfo(2, "b")}
+        images = {1: ImageInfo(1, H, W), 2: ImageInfo(2, H, W)}
+        gts = {1: [GroundTruthInstance(1, 1, 1, box(2, 2)), GroundTruthInstance(1, 2, 2, box(20, 20))],
+               2: []}
+        dets = {1: [Detection(1, 1, 0.9, box(2, 2)), Detection(1, 2, 0.9, box(20, 20))],
+                2: [Detection(2, 1, 0.9, box(2, 2)), Detection(2, 2, 0.9, box(20, 20))]}
+        metrics, _ = evaluate(Dataset(images, cats, gts), dets)
+        # recall 1 at rank 2 with no FP; category-major pooling reaches it at rank 3 with one
+        assert metrics["fp_tp_curve"]["1.00"] == 0.0
+        assert metrics["fp_tp_curve"]["0.50"] == 0.0
 
 
 class TestNamingErrorPath:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from conftest import random_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hedgeval.lrp import LrpResult, lrp, lrp_from_matching, olrp, olrp_scan
 
@@ -134,3 +137,32 @@ class TestOlrp:
         # both detections share the cutoff, so the fp cannot be shed alone
         assert (res.tp, res.fp, res.fn) == (1, 1, 1)
         assert cutoff == pytest.approx(0.5)
+
+    def test_tied_values_keep_the_highest_cutoff(self):
+        # the second TP sits at IoU == thr: its loc error 1 trades one FN exactly
+        res, cutoff = olrp_scan([0.9, 0.8], [True, True], [1.0, 0.5], 2, 0.5)
+        assert res.lrp == 0.5
+        assert cutoff == 0.9
+        assert (res.tp, res.fp, res.fn) == (1, 0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dets=st.lists(arrays(np.bool_, (6, 6)), max_size=7),
+           gts=st.lists(arrays(np.bool_, (6, 6)), max_size=4),
+           data=st.data())
+    def test_scan_matches_recompute_oracle(self, dets, gts, data):
+        # coarse scores force tied cutoffs
+        scores = data.draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
+                                    min_size=len(dets), max_size=len(dets)))
+        got, cutoff = olrp(dets, scores, gts, 0.5)
+        ref = olrp_value_recompute(dets, scores, gts, 0.5)
+        if not dets:
+            assert cutoff is None and got == lrp([], [], gts, 0.5)
+            return
+        assert got.lrp == pytest.approx(ref, abs=1e-12)
+        at_cut = lrp_at_cutoff(dets, scores, gts, 0.5, cutoff)
+        assert (got.tp, got.fp, got.fn) == (at_cut.tp, at_cut.fp, at_cut.fn)
+        for name in ("lrp", "lrp_loc", "lrp_fp", "lrp_fn"):
+            assert getattr(got, name) == pytest.approx(getattr(at_cut, name), abs=1e-12)
+        # of the cutoffs reaching the minimum, the scan keeps the highest
+        best = [s for s in set(scores) if lrp_at_cutoff(dets, scores, gts, 0.5, s).lrp <= ref + 1e-12]
+        assert cutoff == max(best)
