@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .mask import (
-    MalformedRleError,
     MaskTable,
     RleMask,
     decode,
@@ -143,17 +142,54 @@ def _check_segmentation(seg, height: int, width: int):
     raise LoadError(f"unsupported segmentation of type {type(seg).__name__}")
 
 
-def _segmentation_mask(source, height: int, width: int, leb) -> RleMask:
-    """The mask of a checked segmentation; a counts string's run lengths
-    are the next item of ``leb``, a ``leb_counts`` iterator."""
-    if isinstance(source, str):
-        return RleMask(height, width, next(leb))
-    if isinstance(source, tuple):
-        return RleMask(height, width, source)
-    dense = np.zeros((height, width), dtype=bool)
-    for poly in source:
-        dense |= rasterize_polygon(poly, height, width)
-    return encode(dense)
+def _read_json(path):
+    """The JSON value of a file; text that is not JSON raises ``LoadError``
+    naming the file and the decoder's message."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise LoadError(f"{path} is not valid JSON: {e}") from e
+
+
+def _check_in_order(records, check):
+    """``check`` each record in order, stopping at the first ``LoadError``
+    (a field fault), which ``records`` may also raise while it is iterated.
+    Returns the checked records and that fault, or None."""
+    checked = []
+    try:
+        for rec in records:
+            checked.append(check(rec))
+    except LoadError as e:
+        return checked, e
+    return checked, None
+
+
+def _with_masks(checked, fault):
+    """Yield ``(label, mask, *fields)`` for each checked record ``(label,
+    image, source, *fields)`` in order, where ``source`` is what
+    ``_check_segmentation`` returned; the counts strings of all the records
+    are decoded in batches. A mask fault raises ``LoadError`` prefixed with
+    its record's label. ``fault`` is raised after every record before it
+    has been built, so an error always names the first faulty record in
+    file order."""
+    leb = leb_counts([c[2] for c in checked if isinstance(c[2], str)])
+    for label, img, source, *fields in checked:
+        try:
+            if isinstance(source, str):
+                mask = RleMask(img.height, img.width, next(leb))
+            elif isinstance(source, tuple):
+                mask = RleMask(img.height, img.width, source)
+            else:
+                dense = np.zeros((img.height, img.width), dtype=bool)
+                for poly in source:
+                    dense |= rasterize_polygon(poly, img.height, img.width)
+                mask = encode(dense)
+        except ValueError as e:
+            raise LoadError(f"{label}: {e}") from e
+        yield (label, mask, *fields)
+    if fault is not None:
+        raise fault
 
 
 def load_ground_truth(path) -> Dataset:
@@ -163,14 +199,19 @@ def load_ground_truth(path) -> Dataset:
     built with the counts strings decoded in batches; errors still name the
     first faulty annotation in file order.
     """
-    with open(path) as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     _require(raw, ("images", "annotations", "categories"), f"annotation file {path}")
+    for key in ("images", "annotations", "categories"):
+        if not isinstance(raw[key], list):
+            raise LoadError(f"annotation file {path}: '{key}' must be a list, got {type(raw[key]).__name__}")
 
     images: dict[int, ImageInfo] = {}
     for k, rec in enumerate(raw["images"]):
         _require(rec, ("id", "height", "width"), "image record")
         info = ImageInfo(*(_integer(rec[f], f"images[{k}].{f}") for f in ("id", "height", "width")))
+        for f in ("height", "width"):
+            if getattr(info, f) < 1:
+                raise LoadError(f"field 'images[{k}].{f}' must be at least 1, got {getattr(info, f)}")
         if info.id in images:
             raise LoadError(f"images: duplicate id {info.id}")
         images[info.id] = info
@@ -182,39 +223,26 @@ def load_ground_truth(path) -> Dataset:
             raise LoadError(f"categories: duplicate id {cat.id}")
         categories[cat.id] = cat
 
-    checked, field_error = [], None
-    try:
-        for rec in raw["annotations"]:
-            checked.append(_check_annotation(rec, images, categories))
-    except LoadError as e:
-        field_error = e
-    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
     gts_by_image: dict[int, list[GroundTruthInstance]] = {i: [] for i in images}
     ann_ids: set[int] = set()
-    for ann_id, instance_id, image_id, category_id, source in checked:
-        img = images[image_id]
-        try:
-            mask = _segmentation_mask(source, img.height, img.width, leb)
-            if mask.area == 0:
-                raise LoadError("mask is empty")
-        except (LoadError, MalformedRleError, ValueError) as e:
-            raise LoadError(f"annotation {ann_id}: {e}") from e
+    checked = _check_in_order(raw["annotations"], lambda rec: _check_annotation(rec, images, categories))
+    for label, mask, instance_id, image_id, category_id in _with_masks(*checked):
+        if mask.area == 0:
+            raise LoadError(f"{label}: mask is empty")
         if instance_id in ann_ids:
             raise LoadError(f"annotations: duplicate id {instance_id}")
         ann_ids.add(instance_id)
         gts_by_image[image_id].append(
             GroundTruthInstance(image_id, instance_id, category_id, mask)
         )
-    if field_error is not None:
-        raise field_error
     return Dataset(images, categories, gts_by_image)
 
 
 def _check_annotation(rec, images, categories):
     _require(rec, ("id", "image_id", "category_id", "segmentation"), "annotation")
-    ann_id = rec["id"]
+    label = f"annotation {rec['id']}"
     try:
-        instance_id = _integer(ann_id, "id")
+        instance_id = _integer(rec["id"], "id")
         if _integer(rec.get("iscrowd", 0), "iscrowd"):
             raise LoadError("iscrowd annotations are not supported")
         image_id = _integer(rec["image_id"], "image_id")
@@ -225,9 +253,9 @@ def _check_annotation(rec, images, categories):
             raise LoadError(f"references unknown category {category_id}")
         img = images[image_id]
         source = _check_segmentation(rec["segmentation"], img.height, img.width)
-    except (LoadError, MalformedRleError, ValueError) as e:
-        raise LoadError(f"annotation {ann_id}: {e}") from e
-    return ann_id, instance_id, image_id, category_id, source
+    except ValueError as e:
+        raise LoadError(f"{label}: {e}") from e
+    return label, img, source, instance_id, image_id, category_id
 
 
 def load_detections(path, dataset: Dataset) -> DetectionLoadResult:
@@ -237,24 +265,12 @@ def load_detections(path, dataset: Dataset) -> DetectionLoadResult:
     with the counts strings decoded in batches; errors still name the first
     faulty record in file order.
     """
-    with open(path) as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise LoadError(f"detection file {path} must hold a JSON array")
-    checked, field_error = [], None
-    try:
-        for idx, rec in enumerate(raw):
-            checked.append(_check_detection(idx, rec, dataset))
-    except LoadError as e:
-        field_error = e
-    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
     out = DetectionLoadResult({i: [] for i in dataset.images})
-    for idx, image_id, category_id, score, source in checked:
-        img = dataset.images[image_id]
-        try:
-            mask = _segmentation_mask(source, img.height, img.width, leb)
-        except (LoadError, MalformedRleError, ValueError) as e:
-            raise LoadError(f"detection {idx}: {e}") from e
+    checked = _check_in_order(enumerate(raw), lambda item: _check_detection(*item, dataset))
+    for _, mask, image_id, category_id, score in _with_masks(*checked):
         if not 0.0 <= score <= 1.0:
             out.rejected_bad_score += 1
             continue
@@ -262,13 +278,12 @@ def load_detections(path, dataset: Dataset) -> DetectionLoadResult:
             out.rejected_empty_mask += 1
             continue
         out.by_image[image_id].append(Detection(image_id, category_id, score, mask))
-    if field_error is not None:
-        raise field_error
     return out
 
 
 def _check_detection(idx: int, rec, dataset: Dataset):
-    _require(rec, ("image_id", "category_id", "score", "segmentation"), f"detection {idx}")
+    label = f"detection {idx}"
+    _require(rec, ("image_id", "category_id", "score", "segmentation"), label)
     try:
         image_id = _integer(rec["image_id"], "image_id")
         category_id = _integer(rec["category_id"], "category_id")
@@ -279,9 +294,9 @@ def _check_detection(idx: int, rec, dataset: Dataset):
         score = _number(rec["score"], "score")
         img = dataset.images[image_id]
         source = _check_segmentation(rec["segmentation"], img.height, img.width)
-    except (LoadError, MalformedRleError, ValueError) as e:
-        raise LoadError(f"detection {idx}: {e}") from e
-    return idx, image_id, category_id, score, source
+    except ValueError as e:
+        raise LoadError(f"{label}: {e}") from e
+    return label, img, source, image_id, category_id, score
 
 
 def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
@@ -301,16 +316,47 @@ def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
     return masks
 
 
+def _semantic_files(root: Path, dataset: Dataset):
+    """Yield ``(image_id, image, category_id, path)`` for each semantic-mask
+    file present, in (image, category) order; a missing image directory or
+    a file named after no dataset category raises ``LoadError``."""
+    for image_id, img in dataset.images.items():
+        img_dir = root / str(image_id)
+        if not img_dir.is_dir():
+            raise LoadError(f"semantic mask directory missing image entry {img_dir}")
+        present = {fp.name for fp in img_dir.glob("*.json")}
+        stray = present - {f"{c}.json" for c in dataset.categories}
+        if stray:
+            raise LoadError(f"semantic mask {img_dir / min(stray)}: no such category in the dataset")
+        for category_id in dataset.categories:
+            fp = img_dir / f"{category_id}.json"
+            if fp.name in present:
+                yield image_id, img, category_id, fp
+
+
+def _check_semantic_file(entry):
+    image_id, img, category_id, fp = entry
+    label = f"semantic mask {fp}"
+    try:
+        with open(fp) as f:
+            seg = json.load(f)
+        source = _check_segmentation(seg, img.height, img.width)
+    except (OSError, ValueError) as e:
+        raise LoadError(f"{label}: {e}") from e
+    return label, img, source, image_id, category_id
+
+
 def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Detection]] | None = None,
                         conf_floor: float = 0.5) -> dict[int, SemanticMaskSet]:
     """Produce one SemanticMaskSet per dataset image.
 
     ``source`` is a directory path (layout semantic/<image_id>/<category_id>.json,
-    one RLE object per file; absent files mean an empty mask, and a JSON file
-    named after no dataset category raises ``LoadError``), or one of the
-    modes 'derive-from-gt' (union of GT masks per category) and
-    'derive-from-dt' (union of detection masks per category with score >=
-    conf_floor, requires ``detections``). Directory files are checked
+    one RLE object per file; absent files mean an empty mask, a JSON file
+    named after no dataset category or a file that cannot be read raises
+    ``LoadError``), or one of the modes 'derive-from-gt' (union of GT masks
+    per category) and 'derive-from-dt' (union of detection masks per
+    category with score >= conf_floor, requires ``detections``; those of
+    images outside the dataset are ignored). Directory files are checked
     first, then their masks are built with the counts strings decoded in
     batches, as the two loaders do; errors name the first faulty file in
     (image, category) order. A ``conf_floor`` outside [0, 1], NaN included,
@@ -318,60 +364,23 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
     """
     if not 0.0 <= conf_floor <= 1.0:
         raise ValueError(f"conf_floor must lie in [0, 1], got {conf_floor}")
-    out: dict[int, SemanticMaskSet] = {}
-    if source == DERIVE_FROM_GT:
+    if source == DERIVE_FROM_DT and detections is None:
+        raise ValueError("derive-from-dt requires detections")
+    if source in (DERIVE_FROM_GT, DERIVE_FROM_DT):
+        by_image = dataset.gts_by_image if source == DERIVE_FROM_GT else detections
+        out: dict[int, SemanticMaskSet] = {}
         for image_id, img in dataset.images.items():
             groups: dict[int, list[RleMask]] = {}
-            for gt in dataset.gts_by_image[image_id]:
-                groups.setdefault(gt.category_id, []).append(gt.mask)
-            out[image_id] = SemanticMaskSet(image_id, _union_masks(img, groups))
-        return out
-    if source == DERIVE_FROM_DT:
-        if detections is None:
-            raise ValueError("derive-from-dt requires detections")
-        for image_id, img in dataset.images.items():
-            groups = {}
-            for det in detections.get(image_id, []):
-                if det.score >= conf_floor:
-                    groups.setdefault(det.category_id, []).append(det.mask)
+            for inst in by_image.get(image_id, ()):
+                if source == DERIVE_FROM_GT or inst.score >= conf_floor:
+                    groups.setdefault(inst.category_id, []).append(inst.mask)
             out[image_id] = SemanticMaskSet(image_id, _union_masks(img, groups))
         return out
 
-    root = Path(source)
-    checked, field_error = [], None
-    try:
-        for image_id, img in dataset.images.items():
-            img_dir = root / str(image_id)
-            if not img_dir.is_dir():
-                raise LoadError(f"semantic mask directory missing image entry {img_dir}")
-            present = {fp.name for fp in img_dir.glob("*.json")}
-            stray = present - {f"{c}.json" for c in dataset.categories}
-            if stray:
-                raise LoadError(f"semantic mask {img_dir / min(stray)}: no such category in the dataset")
-            for category_id in dataset.categories:
-                fp = img_dir / f"{category_id}.json"
-                if fp.name not in present:
-                    continue
-                try:
-                    with open(fp) as f:
-                        seg = json.load(f)
-                    checked.append((image_id, category_id, fp,
-                                    _check_segmentation(seg, img.height, img.width)))
-                except (LoadError, MalformedRleError, ValueError) as e:
-                    raise LoadError(f"semantic mask {fp}: {e}") from e
-    except LoadError as e:
-        field_error = e
-    leb = leb_counts([r[-1] for r in checked if isinstance(r[-1], str)])
     out = {i: SemanticMaskSet(i, {}) for i in dataset.images}
-    for image_id, category_id, fp, seg in checked:
-        img = dataset.images[image_id]
-        try:
-            rle = _segmentation_mask(seg, img.height, img.width, leb)
-        except (LoadError, MalformedRleError, ValueError) as e:
-            raise LoadError(f"semantic mask {fp}: {e}") from e
+    checked = _check_in_order(_semantic_files(Path(source), dataset), _check_semantic_file)
+    for _, rle, image_id, category_id in _with_masks(*checked):
         out[image_id].masks[category_id] = decode(rle)
-    if field_error is not None:
-        raise field_error
     return out
 
 

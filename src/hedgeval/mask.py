@@ -83,19 +83,12 @@ class RleMask:
 def encode(mask: np.ndarray) -> RleMask:
     """Encode a binary mask as column-major alternating runs.
 
-    An F-contiguous mask is scanned in place. Any other layout is scanned
-    on its bounding box alone, so the cost follows the box area, not H x W.
+    The mask's bounding box is found with two ``any`` reductions and only
+    the box is scanned (``encode_box``), so the scan follows the box area,
+    not H x W, in any memory layout.
     """
     mask = _as_mask(mask)
     h, w = mask.shape
-    if mask.flags.f_contiguous:
-        flat = mask.ravel(order="F")  # a view
-        # run boundaries = positions where the pixel value changes
-        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        counts = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
-        if flat[0]:
-            counts.insert(0, 0)  # first run always counts background
-        return RleMask._unchecked(h, w, counts)
     rows = np.flatnonzero(mask.any(axis=1))
     if not rows.size:
         return RleMask._unchecked(h, w, (h * w,))
@@ -343,20 +336,6 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-_EMPTY_CROP = np.zeros((0, 0), dtype=bool)
-
-
-def _dense_entry(m: np.ndarray):
-    """Box, area and crop of one dense mask, found by scanning it."""
-    rows = np.flatnonzero(m.any(axis=1))
-    if not rows.size:
-        return (0, 0, 0, 0), 0, _EMPTY_CROP
-    cols = np.flatnonzero(m.any(axis=0))
-    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    crop = m[r0:r1, c0:c1]
-    return (r0, r1, c0, c1), int(np.count_nonzero(crop)), crop
-
-
 def _foreground_runs(rles):
     """Length and end of every non-empty foreground run of the masks, with
     their counts laid end to end; the per-count arrays are freed on return."""
@@ -384,8 +363,9 @@ class MaskTable:
     """Masks of one shape, each held as its half-open box (r0, r1, c0, c1),
     its exact area and a bool crop of that box.
 
-    An empty mask gets the empty box (0, 0, 0, 0), which overlaps no box,
-    and a 0x0 crop. Built from RLE, every crop is an F-order view of its
+    A table is built from RLE runs (``from_rles``); dense masks are
+    encoded first. An empty mask gets the empty box (0, 0, 0, 0), which
+    overlaps no box, and a 0x0 crop. Every crop is an F-order view of its
     own slice of one bool buffer of the total box area, so memory scales
     with the total box area, not with masks x H x W.
     """
@@ -447,15 +427,6 @@ class MaskTable:
         for m, o, hh, ww in zip(who.tolist(), offset.tolist(), bh.tolist(), (c1 - c0).tolist()):
             crops[m] = buf[o:o + hh * ww].reshape((hh, ww), order="F")
         return cls(shape, boxes, areas, tuple(crops))
-
-    @classmethod
-    def from_dense(cls, masks) -> "MaskTable":
-        """Table of dense bool masks; each crop is a view into its mask."""
-        masks = [_as_mask(m) for m in masks]
-        shape = _one_shape(m.shape for m in masks)
-        boxes, areas, crops = zip(*map(_dense_entry, masks)) if masks else ((), (), ())
-        return cls(shape, np.array(boxes, dtype=np.intp).reshape(-1, 4),
-                   np.array(areas, dtype=np.int64), tuple(crops))
 
     def __len__(self) -> int:
         return len(self.crops)
@@ -520,14 +491,15 @@ def table_pairwise_iou(t: MaskTable) -> np.ndarray:
 
 def iou_matrix(masks_a, masks_b) -> np.ndarray:
     """Pairwise IoU between two sequences of dense masks, shape
-    (len_a, len_b): ``table_iou`` of their tables."""
-    return table_iou(MaskTable.from_dense(masks_a), MaskTable.from_dense(masks_b))
+    (len_a, len_b): ``table_iou`` of the tables of their encoded runs."""
+    return table_iou(MaskTable.from_rles(map(encode, masks_a)),
+                     MaskTable.from_rles(map(encode, masks_b)))
 
 
 def pairwise_iou(masks) -> np.ndarray:
     """Symmetric IoU matrix of one sequence of dense masks against itself:
-    ``table_pairwise_iou`` of its table."""
-    return table_pairwise_iou(MaskTable.from_dense(masks))
+    ``table_pairwise_iou`` of the table of their encoded runs."""
+    return table_pairwise_iou(MaskTable.from_rles(map(encode, masks)))
 
 
 def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:

@@ -199,6 +199,16 @@ class TestEvalCommand:
         assert "missing required field" in result.stderr
 
 
+    @pytest.mark.parametrize("which", ["gt", "dt"])
+    def test_truncated_json_reports_load_error(self, runner, tmp_path, which):
+        paths = dict(zip(("gt", "dt"), toy_files(tmp_path)))
+        bad = paths[which]
+        bad.write_text(bad.read_text()[:40])
+        result = runner.invoke(main, ["eval", "--gt", str(paths["gt"]), "--dt", str(paths["dt"])])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {bad} is not valid JSON: ")
+
+
 class TestNmsCommand:
     def test_semantic_round_trip_restores_counts(self, runner, synth_dir, tmp_path):
         out = tmp_path / "kept.json"
@@ -213,6 +223,16 @@ class TestNmsCommand:
         assert kept.n_loaded == ds.n_ground_truths
         for image_id, gts in ds.gts_by_image.items():
             assert len(kept.by_image[image_id]) == len(gts)
+
+    def test_unreadable_semantic_file_reports_load_error(self, runner, tmp_path):
+        gt_path, dt_path = toy_files(tmp_path)
+        sem_file = tmp_path / "semantic" / "1" / "1.json"
+        sem_file.mkdir(parents=True)  # a directory, not a file
+        result = runner.invoke(main, ["nms", "--gt", str(gt_path), "--dt", str(dt_path),
+                                      "--out", str(tmp_path / "kept.json"),
+                                      "--semantic", str(tmp_path / "semantic")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: semantic mask {sem_file}: ")
 
     def test_semantic_requires_source(self, runner, synth_dir, tmp_path):
         result = runner.invoke(main, [

@@ -125,6 +125,28 @@ class TestLoadGroundTruth:
         with pytest.raises(LoadError, match="categories"):
             load_ground_truth(p)
 
+    @pytest.mark.parametrize("key, value", [("annotations", None), ("images", 3),
+                                            ("images", None), ("categories", None)])
+    def test_top_level_tables_must_be_lists(self, tmp_path, key, value):
+        raw = {"images": [], "annotations": [], "categories": [], key: value}
+        p = tmp_path / "gt.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(LoadError, match=rf"'{key}' must be a list, got {type(value).__name__}$"):
+            load_ground_truth(p)
+
+    @pytest.mark.parametrize("value", [-3, 0])
+    @pytest.mark.parametrize("field", ["height", "width"])
+    def test_image_size_must_be_positive(self, gt_file, field, value):
+        images = [{"id": 1, "height": 8, "width": 8, field: value}]
+        with pytest.raises(LoadError, match=rf"^field 'images\[0\]\.{field}' must be at least 1, got {value}$"):
+            load_ground_truth(gt_file([], images=images))
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        p = tmp_path / "gt.json"
+        p.write_text('{"images": [')
+        with pytest.raises(LoadError, match=rf"^{re.escape(str(p))} is not valid JSON: Expecting value"):
+            load_ground_truth(p)
+
     def test_missing_annotation_field(self, gt_file):
         with pytest.raises(LoadError, match="segmentation"):
             load_ground_truth(gt_file([{"id": 1, "image_id": 1, "category_id": 1}]))
@@ -358,6 +380,12 @@ class TestLoadDetections:
             with pytest.raises(LoadError, match=message):
                 load_detections(self.write_dt(tmp_path, records), small_dataset)
 
+    def test_invalid_json_names_the_file(self, tmp_path, small_dataset):
+        p = tmp_path / "dt.json"
+        p.write_text('[{"image_id": 1')
+        with pytest.raises(LoadError, match=rf"^{re.escape(str(p))} is not valid JSON: Expecting"):
+            load_detections(p, small_dataset)
+
     def test_not_an_array(self, tmp_path, small_dataset):
         p = tmp_path / "dt.json"
         p.write_text("{}")
@@ -390,6 +418,16 @@ class TestSemanticMasks:
         ]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets, conf_floor=0.5)
         assert sem[1].masks[1].sum() == 4
+
+    def test_derive_from_dt_ignores_images_outside_the_dataset(self, gt_file):
+        images = [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8}]
+        ds = load_ground_truth(gt_file([], images=images))
+        dets = {1: [Detection(1, 1, 0.9, encode(block(8, 8, 0, 0, 2, 2)))],
+                99: [Detection(99, 1, 0.9, encode(block(8, 8, 4, 4, 3, 3)))]}
+        sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
+        assert sorted(sem) == [1, 2]
+        assert sem[1].masks[1].sum() == 4
+        assert sem[2].masks == {}
 
     def test_derived_union_equals_or_of_decoded_masks(self, gt_file, rng):
         ds = load_ground_truth(gt_file([], images=[{"id": 1, "height": 7, "width": 9}]))
@@ -465,12 +503,58 @@ class TestSemanticMasks:
         with pytest.raises(LoadError, match=r"^semantic mask \S*semantic/2/1\.json: segmentation size 4x8"):
             load_semantic_masks(out, ds)
 
+    def test_directory_unreadable_file_names_it(self, tmp_path, gt_file):
+        ds = load_ground_truth(gt_file([]))
+        (tmp_path / "semantic" / "1" / "1.json").mkdir(parents=True)  # a directory, not a file
+        with pytest.raises(LoadError, match=r"^semantic mask \S*semantic/1/1\.json: "):
+            load_semantic_masks(tmp_path / "semantic", ds)
+
     def test_directory_missing_image_entry(self, tmp_path, gt_file):
         ds = load_ground_truth(gt_file([]))
         out = tmp_path / "semantic"
         out.mkdir()
         with pytest.raises(LoadError, match="missing image entry"):
             load_semantic_masks(out, ds)
+
+
+class TestFirstFaultInFileOrder:
+    """Each file loader names the first faulty record in file order, whether
+    it holds a mask fault, found only when its counts string is decoded, or
+    a field fault, found when the record is checked."""
+
+    FAULTS = {
+        "mask": ({"size": [8, 8], "counts": "1!"}, "counts character '!'"),
+        "field": ({"size": [4, 8], "counts": [32]}, "segmentation size 4x8"),
+    }
+
+    @pytest.mark.parametrize("order", [("mask", "field"), ("field", "mask")], ids=["mask-first", "field-first"])
+    @pytest.mark.parametrize("loader", ["ground truth", "detections", "semantic directory"])
+    def test_first_fault_wins(self, tmp_path, gt_file, loader, order):
+        images = [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8}]
+        cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
+        segs = [seg_of(block(8, 8, 0, 0, 2, 2))] + [self.FAULTS[f][0] for f in order]
+        message = self.FAULTS[order[0]][1]
+        if loader == "ground truth":
+            anns = [{"id": k + 1, "image_id": 1, "category_id": 1, "segmentation": seg}
+                    for k, seg in enumerate(segs)]
+            path = gt_file(anns, images=images, categories=cats)
+            label, load = "annotation 2", lambda: load_ground_truth(path)
+        else:
+            ds = load_ground_truth(gt_file([], images=images, categories=cats))
+            if loader == "detections":
+                path = tmp_path / "dt.json"
+                path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5,
+                                             "segmentation": seg} for seg in segs]))
+                label, load = "detection 1", lambda: load_detections(path, ds)
+            else:
+                root = tmp_path / "semantic"
+                files = [root / "1" / "1.json", root / "1" / "2.json", root / "2" / "1.json"]
+                for fp, seg in zip(files, segs):  # in (image, category) order
+                    fp.parent.mkdir(parents=True, exist_ok=True)
+                    fp.write_text(json.dumps(seg))
+                label, load = f"semantic mask {files[1]}", lambda: load_semantic_masks(root, ds)
+        with pytest.raises(LoadError, match=f"^{re.escape(label)}: {re.escape(message)}"):
+            load()
 
 
 class TestSchemas:

@@ -31,6 +31,11 @@ def box(h, w, r0, c0, rows, cols):
     return m
 
 
+def _table(masks):
+    """The mask table of dense masks, built from their encoded runs."""
+    return MaskTable.from_rles(map(encode, masks))
+
+
 def disjoint_boxes(n, size=3, pitch=4):
     side = pitch * int(np.ceil(np.sqrt(n)))
     return [box(side, side, pitch * (i // (side // pitch)), pitch * (i % (side // pitch)), size, size)
@@ -68,28 +73,28 @@ class TestNmsConfig:
 class TestMaskNms:
     def test_identical_same_category(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], 0.5) == [0]
+        assert mask_nms(_table([m, m]), [0.9, 0.8], [1, 1], 0.5) == [0]
 
     def test_identical_lower_score_first_in_file(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms(MaskTable.from_dense([m, m]), [0.8, 0.9], [1, 1], 0.5) == [1]
+        assert mask_nms(_table([m, m]), [0.8, 0.9], [1, 1], 0.5) == [1]
 
     def test_identical_different_categories(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert mask_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2], 0.5) == [0, 1]
+        assert mask_nms(_table([m, m]), [0.9, 0.8], [1, 2], 0.5) == [0, 1]
 
     def test_disjoint_all_kept(self, rng):
         masks = disjoint_boxes(9)
         scores = rng.random(9)
-        assert mask_nms(MaskTable.from_dense(masks), scores, [1] * 9, 0.5) == list(range(9))
+        assert mask_nms(_table(masks), scores, [1] * 9, 0.5) == list(range(9))
         # a pair that shares no pixel never suppresses, even at threshold 0
-        assert mask_nms(MaskTable.from_dense(masks), scores, [1] * 9, 0.0) == list(range(9))
+        assert mask_nms(_table(masks), scores, [1] * 9, 0.0) == list(range(9))
 
     def test_below_threshold_overlap_survives(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
-        assert mask_nms(MaskTable.from_dense([a, b]), [0.9, 0.8], [1, 1], 0.5) == [0, 1]
-        assert mask_nms(MaskTable.from_dense([a, b]), [0.9, 0.8], [1, 1], 0.3) == [0]
+        assert mask_nms(_table([a, b]), [0.9, 0.8], [1, 1], 0.5) == [0, 1]
+        assert mask_nms(_table([a, b]), [0.9, 0.8], [1, 1], 0.3) == [0]
 
     def test_matches_greedy_over_pairwise_iou(self, rng):
         # thresholds taken from the IoUs themselves, so ties with the
@@ -105,7 +110,7 @@ class TestMaskNms:
                 for k in np.argsort(-scores, kind="stable"):
                     if all(cats[j] != cats[k] or ious[j, k] < thr for j in kept):
                         kept.append(int(k))
-                assert mask_nms(MaskTable.from_dense(masks), scores, cats, thr) == sorted(kept)
+                assert mask_nms(_table(masks), scores, cats, thr) == sorted(kept)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
@@ -118,7 +123,7 @@ class TestMaskNms:
         masks[n // 2] = masks[0]  # an exact copy: IoU 1
         scores = np.round(rng.random(n), 1)  # one decimal: tied scores
         cats = rng.integers(1, 3, size=n)
-        got = mask_nms(MaskTable.from_dense(masks), scores, cats, iou_thr)
+        got = mask_nms(_table(masks), scores, cats, iou_thr)
         assert got == mask_nms_bruteforce(masks, scores, cats, iou_thr)
 
 
@@ -126,12 +131,12 @@ class TestMatrixNms:
     def test_no_overlap_scores_unchanged(self, rng):
         masks = disjoint_boxes(5)
         scores = rng.random(5)
-        got = matrix_nms(MaskTable.from_dense(masks), scores, [1] * 5)
+        got = matrix_nms(_table(masks), scores, [1] * 5)
         assert got == pytest.approx(scores)
 
     def test_identical_duplicate_gaussian_formula(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = matrix_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], decay="gaussian", sigma=2.0)
+        got = matrix_nms(_table([m, m]), [0.9, 0.8], [1, 1], decay="gaussian", sigma=2.0)
         # duplicate sees iou 1 against an unsuppressed leader (cmax 0)
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.8 * np.exp(-0.5), abs=1e-12)
@@ -139,7 +144,7 @@ class TestMatrixNms:
     def test_linear_decay_formula(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3 with a
-        got = matrix_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear")
+        got = matrix_nms(_table([a, b]), [0.9, 0.6], [1, 1], decay="linear")
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.6 * (1 - 1 / 3), abs=1e-12)
 
@@ -149,7 +154,7 @@ class TestMatrixNms:
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
             decay = "gaussian" if rng.random() < 0.5 else "linear"
-            got = matrix_nms(MaskTable.from_dense(masks), scores, [1] * n, decay=decay, sigma=2.0)
+            got = matrix_nms(_table(masks), scores, [1] * n, decay=decay, sigma=2.0)
             order = np.argsort(-scores, kind="stable")
             ious = iou_matrix([masks[i] for i in order], [masks[i] for i in order])
             expected = scores.copy()
@@ -171,20 +176,20 @@ class TestMatrixNms:
         m = box(8, 8, 2, 2, 4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = matrix_nms(MaskTable.from_dense([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], decay="linear")
+            got = matrix_nms(_table([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], decay="linear")
         assert got.tolist() == [0.9, 0.0, 0.0]
 
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = matrix_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2])
+        got = matrix_nms(_table([m, m]), [0.9, 0.8], [1, 2])
         assert got == pytest.approx([0.9, 0.8])
 
     def test_permissive_floor_keeps_hedges_mask_nms_kills(self):
         m = box(8, 8, 2, 2, 4, 4)
         masks = [m] * 5
         scores = [0.9, 0.5, 0.4, 0.3, 0.2]
-        survivors_mask = mask_nms(MaskTable.from_dense(masks), scores, [1] * 5, 0.5)
-        rescored = matrix_nms(MaskTable.from_dense(masks), scores, [1] * 5)
+        survivors_mask = mask_nms(_table(masks), scores, [1] * 5, 0.5)
+        rescored = matrix_nms(_table(masks), scores, [1] * 5)
         survivors_matrix = [i for i, s in enumerate(rescored) if s >= 0.05]
         assert len(survivors_mask) == 1
         assert len(survivors_matrix) > len(survivors_mask)
@@ -194,28 +199,28 @@ class TestMatrixNms:
             n = int(rng.integers(1, 8))
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
-            assert (matrix_nms(MaskTable.from_dense(masks), scores, [1] * n) <= scores + 1e-12).all()
+            assert (matrix_nms(_table(masks), scores, [1] * n) <= scores + 1e-12).all()
 
 
 class TestSoftNms:
     def test_identical_duplicate_gaussian(self):
         m = box(8, 8, 2, 2, 4, 4)
-        got = soft_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 1], sigma=2.0)
+        got = soft_nms(_table([m, m]), [0.9, 0.8], [1, 1], sigma=2.0)
         assert got[0] == pytest.approx(0.9)
         assert got[1] == pytest.approx(0.8 * np.exp(-0.5), abs=1e-12)
 
     def test_linear_gated_by_threshold(self):
         a = box(8, 8, 0, 0, 4, 4)
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
-        untouched = soft_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.5)
+        untouched = soft_nms(_table([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.5)
         assert untouched == pytest.approx([0.9, 0.6])
-        decayed = soft_nms(MaskTable.from_dense([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.3)
+        decayed = soft_nms(_table([a, b]), [0.9, 0.6], [1, 1], decay="linear", iou_thr=0.3)
         assert decayed[1] == pytest.approx(0.6 * (1 - 1 / 3), abs=1e-12)
 
     def test_sequential_compounding(self):
         # the third copy is decayed by both survivors in selection order
         m = box(8, 8, 2, 2, 4, 4)
-        got = soft_nms(MaskTable.from_dense([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], sigma=2.0)
+        got = soft_nms(_table([m, m, m]), [0.9, 0.8, 0.7], [1, 1, 1], sigma=2.0)
         w = np.exp(-0.5)
         assert got[1] == pytest.approx(0.8 * w, abs=1e-12)
         assert got[2] == pytest.approx(0.7 * w * w, abs=1e-12)
@@ -226,11 +231,11 @@ class TestSoftNms:
             masks = [random_mask(rng, 10, 10, 0.4) for _ in range(n)]
             scores = rng.random(n)
             for decay in ("gaussian", "linear"):
-                assert (soft_nms(MaskTable.from_dense(masks), scores, [1] * n, decay=decay) <= scores + 1e-12).all()
+                assert (soft_nms(_table(masks), scores, [1] * n, decay=decay) <= scores + 1e-12).all()
 
     def test_categories_isolated(self):
         m = box(8, 8, 2, 2, 4, 4)
-        assert soft_nms(MaskTable.from_dense([m, m]), [0.9, 0.8], [1, 2]) == pytest.approx([0.9, 0.8])
+        assert soft_nms(_table([m, m]), [0.9, 0.8], [1, 2]) == pytest.approx([0.9, 0.8])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from(["gaussian", "linear"]),
@@ -242,7 +247,7 @@ class TestSoftNms:
         masks[n // 2] = masks[0]
         scores = np.round(rng.random(n), 1)
         categories = rng.integers(1, 3, n).tolist()
-        got = soft_nms(MaskTable.from_dense(masks), scores, categories, decay=decay, sigma=2.0, iou_thr=iou_thr)
+        got = soft_nms(_table(masks), scores, categories, decay=decay, sigma=2.0, iou_thr=iou_thr)
 
         expected = scores.copy()
         for c in set(categories):
@@ -259,41 +264,37 @@ class TestSoftNms:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def table(*masks):
-    return MaskTable.from_dense(masks)
-
-
 class TestSemanticSort:
     def test_rescore_formula(self):
         det = box(8, 8, 0, 0, 2, 2)  # 4 px inside a 16 px region
         sem = {1: box(8, 8, 0, 0, 4, 4)}
-        _, combined = semantic_sort(table(det), [0.5], [1], sem)
+        _, combined = semantic_sort(_table([det]), [0.5], [1], sem)
         assert combined[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_disjoint_detection(self):
         det = box(8, 8, 6, 6, 2, 2)
         sem = {1: box(8, 8, 0, 0, 4, 4)}
-        _, combined = semantic_sort(table(det), [0.4], [1], sem)
+        _, combined = semantic_sort(_table([det]), [0.4], [1], sem)
         assert combined[0] == pytest.approx(1.4, abs=1e-12)
 
     def test_missing_category_counts_as_empty(self):
         det = box(8, 8, 0, 0, 2, 2)
-        _, combined = semantic_sort(table(det), [0.4], [7], {1: box(8, 8, 0, 0, 4, 4)})
+        _, combined = semantic_sort(_table([det]), [0.4], [7], {1: box(8, 8, 0, 0, 4, 4)})
         assert combined[0] == pytest.approx(1.4, abs=1e-12)
 
     def test_equal_masks_keep_tau_order(self):
         m = box(8, 8, 2, 2, 4, 4)
         sem = {1: m.copy()}
-        order, _ = semantic_sort(table(m, m), [0.9, 0.3], [1, 1], sem)
+        order, _ = semantic_sort(_table([m, m]), [0.9, 0.3], [1, 1], sem)
         assert order.tolist() == [0, 1]
-        order, _ = semantic_sort(table(m, m), [0.3, 0.9], [1, 1], sem)
+        order, _ = semantic_sort(_table([m, m]), [0.3, 0.9], [1, 1], sem)
         assert order.tolist() == [1, 0]
 
     def test_combined_tie_breaks_by_tau_then_ingestion(self):
         # inside: 0.25 + 1 + (1 - 4/16) = 2.0; outside: 1.0 + 0 + 1 = 2.0
         inside, outside = box(8, 8, 0, 0, 2, 2), box(8, 8, 6, 6, 2, 2)
         sem = {1: box(8, 8, 0, 0, 4, 4)}
-        order, combined = semantic_sort(table(inside, outside, inside), [0.25, 1.0, 0.25],
+        order, combined = semantic_sort(_table([inside, outside, inside]), [0.25, 1.0, 0.25],
                                         [1, 1, 1], sem)
         assert combined.tolist() == [2.0, 2.0, 2.0]
         assert order.tolist() == [1, 0, 2]
@@ -303,7 +304,7 @@ class TestSemanticSort:
         tight = box(16, 16, 0, 0, 2, 2)
         whole = box(16, 16, 0, 0, 8, 8)
         sem = {1: whole.copy()}
-        order, _ = semantic_sort(table(whole, tight), [0.99, 0.1], [1, 1], sem)
+        order, _ = semantic_sort(_table([whole, tight]), [0.99, 0.1], [1, 1], sem)
         assert order.tolist() == [1, 0]
 
     def test_sum_and_mean_give_same_order(self, rng):
@@ -313,7 +314,7 @@ class TestSemanticSort:
             scores = (rng.integers(1, 5, size=n) / 5.0).tolist()
             cats = rng.integers(1, 3, size=n).tolist()
             sem = {1: random_mask(rng, 12, 12, 0.5), 2: random_mask(rng, 12, 12, 0.5)}
-            order, combined = semantic_sort(table(*masks), scores, cats, sem)
+            order, combined = semantic_sort(_table(masks), scores, cats, sem)
             mean_order = np.lexsort((np.arange(n), -np.asarray(scores), -combined / 3.0))
             assert order.tolist() == mean_order.tolist()
 
@@ -322,33 +323,33 @@ class TestSemanticNms:
     def test_duplicate_support_consumed(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy()}
-        keep = semantic_nms(table(obj, obj.copy()), [1, 1], sem, thr=0.5)
+        keep = semantic_nms(_table([obj, obj.copy()]), [1, 1], sem, thr=0.5)
         assert keep == [True, False]
         assert not sem[1].any()
 
     def test_other_category_keeps_own_support(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy(), 2: obj.copy()}
-        keep = semantic_nms(table(obj, obj.copy()), [1, 2], sem, thr=0.5)
+        keep = semantic_nms(_table([obj, obj.copy()]), [1, 2], sem, thr=0.5)
         assert keep == [True, True]
 
     def test_wrong_category_with_empty_support_discarded(self):
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: obj.copy(), 2: np.zeros((8, 8), dtype=bool)}
-        keep = semantic_nms(table(obj, obj.copy()), [1, 2], sem, thr=0.5)
+        keep = semantic_nms(_table([obj, obj.copy()]), [1, 2], sem, thr=0.5)
         assert keep == [True, False]
 
     def test_missing_category_discarded(self):
         obj = box(8, 8, 2, 2, 4, 4)
-        keep = semantic_nms(table(obj), [9], {1: obj.copy()}, thr=0.5)
+        keep = semantic_nms(_table([obj]), [9], {1: obj.copy()}, thr=0.5)
         assert keep == [False]
 
     def test_threshold_boundary_inclusive(self):
         det = box(8, 8, 0, 0, 2, 2)  # 4 px, exactly half supported
         sem = {1: box(8, 8, 0, 0, 1, 2)}
-        assert semantic_nms(table(det), [1], sem, thr=0.5) == [True]
+        assert semantic_nms(_table([det]), [1], sem, thr=0.5) == [True]
         sem = {1: box(8, 8, 0, 0, 1, 2)}
-        assert semantic_nms(table(det), [1], sem, thr=0.51) == [False]
+        assert semantic_nms(_table([det]), [1], sem, thr=0.51) == [False]
 
     def test_kept_pairs_obey_occupancy_bound(self, rng):
         # anything kept after an earlier same-category keep had >= thr of its
@@ -361,9 +362,9 @@ class TestSemanticNms:
             for m in masks:
                 union |= m
             sem = {1: union.copy()}
-            order, _ = semantic_sort(table(*masks), rng.random(n).tolist(), [1] * n, sem)
+            order, _ = semantic_sort(_table(masks), rng.random(n).tolist(), [1] * n, sem)
             ordered = [masks[i] for i in order]
-            keep = semantic_nms(table(*ordered), [1] * n, sem, thr=thr)
+            keep = semantic_nms(_table(ordered), [1] * n, sem, thr=thr)
             kept = [m for m, k in zip(ordered, keep) if k]
             for later in range(1, len(kept)):
                 removed = np.zeros((12, 12), dtype=bool)
@@ -376,7 +377,7 @@ class TestSemanticNms:
         a = box(8, 8, 2, 2, 4, 4)
         b = box(8, 8, 2, 4, 4, 4)  # same area, half overlapping
         sem = {1: (a | b)}
-        keep = semantic_nms(table(a, b), [1, 1], sem, thr=0.5)
+        keep = semantic_nms(_table([a, b]), [1, 1], sem, thr=0.5)
         if all(keep):
             inter = np.count_nonzero(a & b)
             assert inter <= 0.5 * min(a.sum(), b.sum())
@@ -409,7 +410,7 @@ class TestSemanticLayouts:
                 at = int(rng.integers(0, len(counts) + 1))
                 counts[at:at] = [0, 0]
             rles.append(RleMask(h, w, counts))
-        for t in (MaskTable.from_rles(rles), MaskTable.from_dense(masks)):
+        for t in (MaskTable.from_rles(rles), _table(masks)):
             laid = {c: np.array(m, order=budget_order) for c, m in sem.items()}
             order, combined = semantic_sort(t, scores, cats, laid)
             assert order.tolist() == ref_order.tolist()
@@ -431,7 +432,7 @@ class TestSemanticLayouts:
         obj = box(8, 8, 2, 2, 4, 4)
         sem = {1: decode(encode(obj))}
         assert sem[1].flags.f_contiguous and not sem[1].flags.c_contiguous
-        assert semantic_nms(table(obj, obj.copy()), [1, 1], sem) == [True, False]
+        assert semantic_nms(_table([obj, obj.copy()]), [1, 1], sem) == [True, False]
         assert not sem[1].any()
 
 
