@@ -7,12 +7,9 @@ family is scaled by 100 in printed tables only.
 
 from __future__ import annotations
 
-import json
-import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .coco import (
@@ -25,7 +22,7 @@ from .coco import (
     write_detections,
     write_report,
 )
-from .evaluate import EvalConfig, build_report, ranked_image
+from .evaluate import EvalConfig, build_report, pool_rows, ranked_image
 from .nms import DECAYS, METHODS, SCORE_MODES, NmsConfig, run_nms
 from .pr import build_pr_curve
 
@@ -66,6 +63,8 @@ def _parse_pair(ctx, param, value):
 
 def _parse_metrics(ctx, param, value):
     names = tuple(x for x in value.replace(",", " ").split() if x)
+    if not names:
+        raise click.BadParameter("expected at least one metric name")
     unknown = [x for x in names if x not in METRIC_NAMES]
     if unknown:
         raise click.BadParameter(
@@ -88,6 +87,13 @@ def _load_pair(gt, dt):
     except LoadError as e:
         raise click.ClickException(str(e))
     return dataset, dets
+
+
+def _write(writer, obj, path):
+    try:
+        writer(obj, path)
+    except OSError as e:
+        raise click.ClickException(f"cannot write {path}: {e.strerror or e}")
 
 
 def _fmt(value, scale=1.0, digits=4):
@@ -182,7 +188,7 @@ def cmd_eval(gt, dt, semantic, metrics, iou_thrs, dc_iou_thrs, dc_conf_thrs,
               "metrics": list(metrics)}
     report = build_report(dataset, dets, cfg, source=source)
     if out:
-        write_report(report, out)
+        _write(write_report, report, out)
     _print_table(report, metrics, cfg)
     if verify and not report["verify"]["ok"]:
         raise click.ClickException("verification failed: production metrics "
@@ -236,7 +242,7 @@ def cmd_nms(gt, dt, out, method, iou_thr, score_floor, occupancy_thr, decay,
             raise click.BadParameter(str(e), param_hint="--conf-floor")
     kept = run_nms(dets.by_image, cfg, semantic_sets=sem_sets)
     flat = [d for image_id in sorted(kept) for d in kept[image_id]]
-    write_detections(flat, out)
+    _write(write_detections, flat, out)
     click.echo(f"{method} nms kept {len(flat)} of {dets.n_loaded} detections -> {out}")
 
 
@@ -320,15 +326,10 @@ def cmd_prcurve(gt, dt, iou_thr, category, max_dets, out):
         raise click.ClickException(f"category {category} is not in the dataset")
 
     wanted = ((category,) if category is not None else tuple(sorted(dataset.categories)))
-    scores, flags, n_gt = [np.zeros(0)], [np.zeros(0, dtype=bool)], 0
-    for image_id in sorted(dataset.images):
-        *_, rows = ranked_image(dataset.gts_by_image.get(image_id, []),
-                                dets.by_image.get(image_id, []), cfg.iou_thrs, cfg.max_dets)
-        for r in (rows[cat] for cat in wanted if cat in rows):
-            n_gt += r.n_gt
-            scores.append(r.scores)
-            flags.append(r.flags[iou_thr])
-    curve = build_pr_curve(np.concatenate(scores), np.concatenate(flags), n_gt, iou_thr, category)
+    by_image = (ranked_image(dataset.gts_by_image.get(i, []), dets.by_image.get(i, []),
+                             cfg.iou_thrs, cfg.max_dets)[-1] for i in sorted(dataset.images))
+    rows = pool_rows([r[c] for r in by_image for c in wanted if c in r], cfg.iou_thrs).ranked()
+    curve = build_pr_curve(rows.scores, rows.tp(iou_thr), rows.n_gt, iou_thr, category)
     writer = csv.writer(out)
     writer.writerow(["rank", "confidence", "is_tp", "precision", "recall"])
     for i in range(len(curve)):

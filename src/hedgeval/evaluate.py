@@ -2,15 +2,17 @@
 
 Metric paths and their detection sets:
 
-- AP / mAP and LRP / oLRP rank detections by confidence and cap each image
-  at ``max_dets`` (top confidences, ties by file order) before matching.
-  ``ranked_image`` does both, and matches each (image, category) once per
-  distinct threshold of ``iou_thrs`` and ``lrp_iou_thr`` into one record
-  (``_Rows``): scores, TP flags and matched IoUs. LRP and oLRP read the
-  record at ``lrp_iou_thr``, AP at each of ``iou_thrs``, and ``prcurve``
-  at its one threshold.
-- F1 and the FP:TP ratio curve use every emitted detection with score >=
-  ``min_score`` (default 0, so every detection), uncapped.
+- ``ranked_image`` matches every detection of each (image, category) once
+  per distinct threshold of ``iou_thrs``, ``lrp_iou_thr`` and
+  ``f1_iou_thr``, into one record (``_Rows``) that also marks the
+  detections the image's ``max_dets`` cap keeps (top confidences, ties by
+  file order).
+- AP / mAP, LRP / oLRP and ``prcurve`` read the capped detections
+  (``_Rows.ranked``); F1 and the FP:TP ratio curve read, uncapped, those
+  with score >= ``min_score`` (``_Rows.floored``; default 0: all) at
+  ``f1_iou_thr``. Both sets are prefixes of the category's confidence
+  order, and the greedy match decides each detection only from those
+  ranked above it, so each set's cut of the record is its own match.
 - Duplicate confusion and naming error see the full unfiltered detection
   set; their own confidence grid does the thresholding.
 
@@ -92,15 +94,31 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class _Rows:
-    """One category's ranked (AP/LRP) detections in one image, or pooled
-    over images: the scores of the detections the ``max_dets`` cap keeps, in
-    file order, and per IoU threshold their greedy TP flags and matched IoUs
-    (0.0 for an FP)."""
+    """One category's detections in one image, or pooled over images, in
+    file order: their scores, whether the image's ``max_dets`` cap keeps
+    each, and per IoU threshold their greedily matched IoUs (0.0 for an FP;
+    a TP's reaches its threshold, which is positive)."""
 
     scores: np.ndarray
-    flags: dict  # thr -> bool per detection
+    capped: np.ndarray  # bool per detection
     ious: dict  # thr -> matched IoU per detection
     n_gt: int
+
+    def where(self, keep) -> _Rows:
+        """The detections ``keep`` selects, against every ground truth."""
+        return _Rows(self.scores[keep], self.capped[keep],
+                     {t: v[keep] for t, v in self.ious.items()}, self.n_gt)
+
+    def ranked(self) -> _Rows:
+        """The AP/LRP/prcurve detections: those the ``max_dets`` cap keeps."""
+        return self.where(self.capped)
+
+    def floored(self, min_score: float) -> _Rows:
+        """The F1 detections: those with score >= ``min_score``, uncapped."""
+        return self.where(self.scores >= min_score)
+
+    def tp(self, thr) -> np.ndarray:
+        return self.ious[thr] > 0
 
 
 def image_table(gts, dets) -> MaskTable:
@@ -116,12 +134,12 @@ def _det_gt_iou(table: MaskTable, n_dets: int) -> np.ndarray:
 
 
 def ranked_image(gts, dets, thrs, max_dets: int):
-    """Build one image's mask table and match its ranked (AP/LRP) path.
+    """Build one image's mask table and match each of its categories once.
 
-    Returns the ``image_table``, its det x GT IoU block, the detections'
-    scores and categories, the ground truths' categories and, per category
-    with a detection or a ground truth, its ``_Rows``: one greedy match per
-    threshold of ``thrs`` over the detections kept by the ``max_dets`` cap.
+    Returns the ``image_table``, its det x GT IoU block, the detections' and
+    the ground truths' categories and, per category with a detection or a
+    ground truth, its ``_Rows``: one greedy match per threshold of ``thrs``
+    over all its detections, and which of them the ``max_dets`` cap keeps.
     """
     table = image_table(gts, dets)
     det_gt = _det_gt_iou(table, len(dets))
@@ -129,48 +147,33 @@ def ranked_image(gts, dets, thrs, max_dets: int):
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
 
-    if len(dets) > max_dets:
-        capped = np.sort(confidence_order(scores)[:max_dets])
-    else:
-        capped = np.arange(len(dets))
+    capped = np.zeros(len(dets), dtype=bool)
+    capped[confidence_order(scores)[:max_dets]] = True
 
     rows = {}
     for cat in sorted(set(det_cats.tolist()) | set(gt_cats.tolist())):
-        d = capped[det_cats[capped] == cat]
+        d = np.flatnonzero(det_cats == cat)
         g = np.flatnonzero(gt_cats == cat)
         ious, s = det_gt[np.ix_(d, g)], scores[d]
         matched = {t: np.array(greedy_match_from_ious(ious, s, t).det_iou, dtype=np.float64)
                    for t in thrs}
-        # a TP's IoU reaches its threshold, which is positive; an FP's is 0.0
-        rows[cat] = _Rows(s, {t: v > 0 for t, v in matched.items()}, matched, int(g.size))
-    return table, det_gt, scores, det_cats, gt_cats, rows
-
-
-def _image_slice(gts, dets, cfg: EvalConfig, thrs):
-    """Everything the reduction needs from one image: the ranked records,
-    per category the F1 path's (scores, TP flags), the DC groups and the
-    NE item."""
-    table, det_gt, scores, det_cats, gt_cats, ranked = ranked_image(gts, dets, thrs, cfg.max_dets)
-    plain, dc_groups = {}, []
-    for cat in ranked:
-        d_all = np.flatnonzero(det_cats == cat)
-        d = d_all[scores[d_all] >= cfg.min_score]
-        match = greedy_match_from_ious(det_gt[np.ix_(d, np.flatnonzero(gt_cats == cat))],
-                                       scores[d], cfg.f1_iou_thr)
-        plain[cat] = (scores[d], np.array(match.det_iou) > 0)  # TPs, as in ranked_image
-        if d_all.size:
-            dc_groups.append((scores[d_all], table_pairwise_iou(table.take(d_all))))
-    return ranked, plain, dc_groups, (det_gt, det_cats.tolist(), gt_cats.tolist())
+        rows[cat] = _Rows(s, capped[d], matched, int(g.size))
+    return table, det_gt, det_cats, gt_cats, rows
 
 
 def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs):
-    """One ``_image_slice`` per image, in image-id order: the inputs of every
-    metric path, with the ranked path capped and matched per ``thrs``."""
+    """Per image, in image-id order, everything the reduction needs: the
+    records matched per ``thrs``, the DC groups (each category's
+    detections) and the NE item."""
     ids = sorted(dataset.images)
 
     def work(image_id):
-        return _image_slice(dataset.gts_by_image.get(image_id, []),
-                            dets_by_image.get(image_id, []), cfg, thrs)
+        table, det_gt, det_cats, gt_cats, rows = ranked_image(
+            dataset.gts_by_image.get(image_id, []), dets_by_image.get(image_id, []),
+            thrs, cfg.max_dets)
+        dc_groups = [(r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
+                     for c, r in rows.items() if r.scores.size]
+        return rows, dc_groups, (det_gt, det_cats.tolist(), gt_cats.tolist())
 
     if cfg.threads == 1:
         return [work(i) for i in ids]
@@ -189,10 +192,10 @@ def _concat(chunks, dtype=np.float64) -> np.ndarray:
     return np.concatenate([*chunks, np.zeros(0, dtype)])
 
 
-def _pool(records, thrs) -> _Rows:
-    """One category's records over images, concatenated image-major."""
-    return _Rows(_concat(r.scores for r in records),
-                 {t: _concat((r.flags[t] for r in records), bool) for t in thrs},
+def pool_rows(records, thrs) -> _Rows:
+    """``_Rows`` records concatenated in the order given (one category's
+    over images: image-major)."""
+    return _Rows(_concat(r.scores for r in records), _concat((r.capped for r in records), bool),
                  {t: _concat(r.ious[t] for r in records) for t in thrs},
                  sum(r.n_gt for r in records))
 
@@ -205,44 +208,40 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     entry count as having no detections.
     """
     cfg = cfg or EvalConfig()
-    thrs = dict.fromkeys((*cfg.iou_thrs, cfg.lrp_iou_thr))
+    thrs = dict.fromkeys((*cfg.iou_thrs, cfg.lrp_iou_thr, cfg.f1_iou_thr))
     slices = compute_slices(dataset, dets_by_image, cfg, thrs)
     cats = sorted(dataset.categories)
-    pooled = {c: _pool([r[c] for r, *_ in slices if c in r], thrs) for c in cats}
+    pooled = {c: pool_rows([r[c] for r, *_ in slices if c in r], thrs) for c in cats}
+    ranked = {c: rows.ranked() for c, rows in pooled.items()}
 
-    curves = {}
-    ap = {c: {} for c in cats}
-    for cat, rows in pooled.items():
-        for t in cfg.iou_thrs:
-            curve = build_pr_curve(rows.scores, rows.flags[t], rows.n_gt, t, cat)
-            curves[(cat, t)] = curve
-            ap[cat][t] = average_precision(curve)
+    curves = {(c, t): build_pr_curve(r.scores, r.tp(t), r.n_gt, t, c)
+              for c, r in ranked.items() for t in cfg.iou_thrs}
+    ap = {c: {t: average_precision(curves[(c, t)]) for t in cfg.iou_thrs} for c in cats}
 
     lrp_by_cat, olrp_by_cat = {}, {}
     t = cfg.lrp_iou_thr
-    for cat, rows in pooled.items():
+    for cat, rows in ranked.items():
         if rows.n_gt == 0:
             continue
-        flags, ious = rows.flags[t], rows.ious[t]
-        lrp_by_cat[cat] = lrp_from_matching(ious[flags], int((~flags).sum()),
-                                            rows.n_gt - int(flags.sum()), t)
-        olrp_by_cat[cat] = olrp_scan(rows.scores, flags, ious, rows.n_gt, t)[0].lrp
+        tp, ious = rows.tp(t), rows.ious[t]
+        lrp_by_cat[cat] = lrp_from_matching(ious[tp], int((~tp).sum()),
+                                            rows.n_gt - int(tp.sum()), t)
+        olrp_by_cat[cat] = olrp_scan(rows.scores, tp, ious, rows.n_gt, t)[0].lrp
 
-    # image-major, then category: build_pr_curve breaks score ties by input order
-    plain = [(cat, s, f) for _, by_cat, *_ in slices for cat, (s, f) in by_cat.items()]
-    f1_tp, f1_det = dict.fromkeys(cats, 0), dict.fromkeys(cats, 0)
-    for cat, _, f in plain:
-        f1_tp[cat] += int(f.sum())
-        f1_det[cat] += f.size
+    t = cfg.f1_iou_thr
+    f1_tp, f1_det = {}, {}
+    for cat, rows in pooled.items():
+        tp = rows.floored(cfg.min_score).tp(t)
+        f1_tp[cat], f1_det[cat] = int(tp.sum()), tp.size
     total_gt = sum(r.n_gt for r in pooled.values())
-    total_tp = sum(f1_tp.values())
-    total_det = sum(f1_det.values())
-    curve = build_pr_curve(_concat(s for _, s, _ in plain),
-                           _concat((f for _, _, f in plain), bool), total_gt, cfg.f1_iou_thr)
+    total_tp, total_det = sum(f1_tp.values()), sum(f1_det.values())
+    # image-major, then category: build_pr_curve breaks score ties by input order
+    plain = pool_rows([r for rows, *_ in slices for r in rows.values()], thrs).floored(cfg.min_score)
+    curve = build_pr_curve(plain.scores, plain.tp(t), total_gt, t)
     bins = np.linspace(0.0, 1.0, 11)
     ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc_res = duplicate_confusion([g for _, _, groups, _ in slices for g in groups],
+    dc_res = duplicate_confusion([g for _, groups, _ in slices for g in groups],
                                  DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
     ne_res = naming_error([ne for *_, ne in slices])
 

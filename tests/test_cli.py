@@ -170,6 +170,24 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert "bogus" in result.stderr
 
+    @pytest.mark.parametrize("metrics", [",", ""])
+    def test_empty_metric_list_is_a_usage_error(self, runner, tmp_path, metrics):
+        gt_path, dt_path = toy_files(tmp_path)
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", "--gt", str(gt_path), "--dt", str(dt_path),
+                                      "--metrics", metrics, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "expected at least one metric name" in result.stderr
+        assert not out.exists()
+
+    def test_out_in_missing_directory_is_an_error(self, runner, tmp_path):
+        gt_path, dt_path = toy_files(tmp_path)
+        out = tmp_path / "missing" / "report.json"
+        result = runner.invoke(main, ["eval", "--gt", str(gt_path), "--dt", str(dt_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: cannot write {out}: No such file or directory\n"
+
     def test_metric_selection_filters_table(self, runner, synth_dir):
         result = runner.invoke(main, [
             "eval", "--gt", str(synth_dir / "annotations.json"),
@@ -233,6 +251,14 @@ class TestNmsCommand:
                                       "--semantic", str(tmp_path / "semantic")])
         assert result.exit_code == 1
         assert result.stderr.startswith(f"Error: semantic mask {sem_file}: ")
+
+    def test_out_in_missing_directory_is_an_error(self, runner, tmp_path):
+        gt_path, dt_path = toy_files(tmp_path)
+        out = tmp_path / "missing" / "kept.json"
+        result = runner.invoke(main, ["nms", "--gt", str(gt_path), "--dt", str(dt_path),
+                                      "--out", str(out), "--method", "mask"])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: cannot write {out}: No such file or directory\n"
 
     def test_semantic_requires_source(self, runner, synth_dir, tmp_path):
         result = runner.invoke(main, [

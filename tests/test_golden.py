@@ -8,8 +8,9 @@ budgets read from a ``synth``-written ``semantic/`` directory are pinned
 too. Each digest was recorded on the code before the change that it
 guards (the IoU paths were consolidated, then the semantic path and RLE
 ingestion were vectorised, then encoding and scene synthesis moved onto
-mask boxes, then semantic NMS moved onto the mask table); regenerate them
-only for a change that is meant to alter an output.
+mask boxes, then semantic NMS moved onto the mask table, then every
+metric path came to read one greedy match per image and category);
+regenerate them only for a change that is meant to alter an output.
 """
 
 import hashlib
@@ -76,6 +77,10 @@ COMMANDS = {
     },
     "multi": {
         "report.json": ["eval", "--max-dets", "10"],
+        # the cap binds, the floor drops the relabeled copies, and both
+        # thresholds lie outside the AP grid
+        "report-floor.json": ["eval", "--max-dets", "10", "--min-score", "0.92",
+                              "--f1-iou-thr", "0.72", "--lrp-iou-thr", "0.62"],
         "pr.csv": ["prcurve"],
         "pr-cat2.csv": ["prcurve", "--category", "2"],
         "pr-capped.csv": ["prcurve", "--max-dets", "10", "--iou-thr", "0.75"],
@@ -97,6 +102,7 @@ GOLDEN = {
     },
     "multi": {
         "report.json": "0014ec1f03e3d77841449020888340500b49c9d5e0a7d767ba48097bf5a73c95",
+        "report-floor.json": "7b17f868c9acfd89eba6e1510544a10020937456930b72154e5fa3d27c177e0b",
         "pr.csv": "9a43160030c4ed9c2c6148d0ee5ba1a8df4c9fd3fc7fcd91abd07464ebd33d91",
         "pr-cat2.csv": "50f4aa1cdd083bb114934ac82a3cadb53cb5012755b489714759b792ae0bf6cb",
         "pr-capped.csv": "a8ba2f97f8b485857ebd40dff5e5de074f4d94fc754eceaec9afdbf95b3a9439",
@@ -110,7 +116,7 @@ GOLDEN = {
 
 def _digest(path) -> str:
     data = path.read_bytes()
-    if path.name == "report.json":
+    if path.name.startswith("report"):
         report = json.loads(data)
         del report["created_at"]
         data = json.dumps(report, indent=2).encode()

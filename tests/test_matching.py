@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from conftest import random_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hedgeval.mask import iou_matrix
 from hedgeval.matching import (
@@ -101,6 +104,33 @@ class TestGreedyMatch:
         for g, v in zip(res.det_to_gt, res.det_iou):
             if g is not None:
                 assert v >= 0.4
+
+
+class TestPrefixMatch:
+    """Matching a prefix of the confidence order gives the full match cut to
+    that prefix: each detection is decided only by those ranked above it.
+    Both the per-image ``max_dets`` cap and the ``min_score`` floor keep
+    such a prefix, so evaluation reads them off one match."""
+
+    LEVELS = (0.3, 0.5, 0.7, 1.0)  # IoUs land exactly on every threshold
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_prefix_match_is_the_full_match_cut(self, data):
+        n_det, n_gt = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 4))
+        ious = data.draw(arrays(np.float64, (n_det, n_gt),
+                                elements=st.sampled_from((0.0, *self.LEVELS))))
+        s = data.draw(arrays(np.float64, n_det, elements=st.sampled_from((0.2, 0.5, 0.8))))
+        thr = data.draw(st.sampled_from(self.LEVELS))
+        full = greedy_match_from_ious(ious, s, thr)
+        cuts = [np.sort(confidence_order(s)[:k]) for k in range(n_det + 1)]
+        cuts += [np.flatnonzero(s >= v) for v in (0.0, 0.2, 0.5, 0.8, 0.9)]
+        for p in cuts:
+            got = greedy_match_from_ious(ious[p], s[p], thr)
+            assert got.det_iou == [full.det_iou[d] for d in p]
+            assert got.det_to_gt == [full.det_to_gt[d] for d in p]
+            position = {int(d): j for j, d in enumerate(p)}
+            assert got.gt_to_det == [position.get(d) for d in full.gt_to_det]
 
 
 class TestAgnosticMatch:
