@@ -47,7 +47,7 @@ def _parse_int_list(ctx, param, value):
     floats = _parse_float_list(ctx, param, value)
     if floats is None:
         return None
-    if any(v != int(v) for v in floats):
+    if not all(v.is_integer() for v in floats):  # inf and nan are not
         raise click.BadParameter(f"expected integers, got {value!r}")
     return tuple(int(v) for v in floats)
 
@@ -164,8 +164,8 @@ def _print_table(report, names, cfg):
 @click.option("--threads", default=1, show_default=True, envvar="HEDGEVAL_THREADS",
               help="Image-parallel workers; any value gives identical results.")
 @click.option("--verify", is_flag=True,
-              help="Re-check a sample against brute-force references; "
-                   "non-zero exit on divergence.")
+              help="Check the reported records of a sample of images against "
+                   "brute-force references; non-zero exit on divergence.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the verification sample.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
@@ -264,7 +264,7 @@ def cmd_nms(gt, dt, out, method, iou_thr, score_floor, occupancy_thr, decay,
 @click.option("--detections", is_flag=True,
               help="Also write detections.json from the built-in detector "
                    "(implied by the hedging options below).")
-@click.option("--spatial-copies", default=0, show_default=True,
+@click.option("--spatial-copies", default=0, show_default=True, type=click.IntRange(min=0),
               help="Jittered low-confidence duplicates per instance.")
 @click.option("--category-noise", default=0.0, show_default=True,
               help="Probability of a wrong-category copy per instance.")
@@ -275,7 +275,7 @@ def cmd_synth(out, n_images, parts, height, width, sigma_frac, length_range,
               width_range, seed, detections, spatial_copies, category_noise,
               conf_step, jitter_px, detector_seed):
     """Generate the synthetic part-counting dataset."""
-    from .synth import SynthConfig, generate, perfect_detector
+    from .synth import SynthConfig, _write_scene, generate, perfect_detector
 
     try:
         cfg = SynthConfig(n_images=n_images, parts_per_image=parts, height=height,
@@ -284,16 +284,19 @@ def cmd_synth(out, n_images, parts, height, width, sigma_frac, length_range,
                           seed=seed)
     except ValueError as e:
         raise click.BadParameter(str(e))
-    dataset, _ = generate(cfg, out)
-    click.echo(f"wrote {n_images} images, {dataset.n_ground_truths} annotations -> {out}")
-    if detections or spatial_copies > 0 or category_noise > 0:
-        try:
+    dataset, semantic = generate(cfg)
+    dets = None
+    if detections or spatial_copies > 0 or category_noise != 0:
+        try:  # before anything is written, so a bad option leaves no output
             dets = perfect_detector(dataset, spatial_copies=spatial_copies,
                                     category_noise=category_noise,
                                     conf_step=conf_step, jitter_px=jitter_px,
                                     seed=detector_seed)
         except ValueError as e:
             raise click.ClickException(str(e))
+    _write_scene(out, cfg, dataset, semantic)
+    click.echo(f"wrote {n_images} images, {dataset.n_ground_truths} annotations -> {out}")
+    if dets is not None:
         flat = [d for image_id in sorted(dets) for d in dets[image_id]]
         path = Path(out) / "detections.json"
         write_detections(flat, path)

@@ -42,8 +42,8 @@ from .hedging import (
     naming_error,
 )
 from .lrp import lrp_from_matching, olrp_scan
-from .mask import MaskTable, decode, iou, pairwise_iou, table_iou, table_pairwise_iou
-from .matching import confidence_order, greedy_match, greedy_match_from_ious
+from .mask import MaskTable, decode, iou, table_iou, table_pairwise_iou
+from .matching import confidence_order, greedy_match_from_ious
 from .pr import (
     average_precision,
     build_pr_curve,
@@ -127,12 +127,6 @@ def image_table(gts, dets) -> MaskTable:
     return MaskTable.from_rles([d.mask for d in dets] + [g.mask for g in gts])
 
 
-def _det_gt_iou(table: MaskTable, n_dets: int) -> np.ndarray:
-    """The det x GT block of an ``image_table``."""
-    return table_iou(table.take(np.arange(n_dets)),
-                     table.take(np.arange(n_dets, len(table))))
-
-
 def ranked_image(gts, dets, thrs, max_dets: int):
     """Build one image's mask table and match each of its categories once.
 
@@ -141,13 +135,13 @@ def ranked_image(gts, dets, thrs, max_dets: int):
     ground truth, its ``_Rows``: one greedy match per threshold of ``thrs``
     over all its detections, and which of them the ``max_dets`` cap keeps.
     """
-    table = image_table(gts, dets)
-    det_gt = _det_gt_iou(table, len(dets))
+    table, n = image_table(gts, dets), len(dets)
+    det_gt = table_iou(table.take(np.arange(n)), table.take(np.arange(n, len(table))))
     scores = np.array([d.score for d in dets], dtype=np.float64)
     det_cats = np.array([d.category_id for d in dets], dtype=np.int64)
     gt_cats = np.array([g.category_id for g in gts], dtype=np.int64)
 
-    capped = np.zeros(len(dets), dtype=bool)
+    capped = np.zeros(n, dtype=bool)
     capped[confidence_order(scores)[:max_dets]] = True
 
     rows = {}
@@ -163,16 +157,17 @@ def ranked_image(gts, dets, thrs, max_dets: int):
 
 def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs):
     """Per image, in image-id order, everything the reduction needs: the
-    records matched per ``thrs``, the DC groups (each category's
-    detections) and the NE item."""
+    records matched per ``thrs``, the DC groups (scores and det x det IoU
+    block of each category with a detection, keyed by category in the
+    records' order) and the NE item."""
     ids = sorted(dataset.images)
 
     def work(image_id):
         table, det_gt, det_cats, gt_cats, rows = ranked_image(
             dataset.gts_by_image.get(image_id, []), dets_by_image.get(image_id, []),
             thrs, cfg.max_dets)
-        dc_groups = [(r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
-                     for c, r in rows.items() if r.scores.size]
+        dc_groups = {c: (r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
+                     for c, r in rows.items() if r.scores.size}
         return rows, dc_groups, (det_gt, det_cats.tolist(), gt_cats.tolist())
 
     if cfg.threads == 1:
@@ -181,11 +176,6 @@ def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs):
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(work, ids))
-
-
-def _mean_defined(values) -> float | None:
-    defined = [v for v in values if v is not None]
-    return float(np.mean(defined)) if defined else None
 
 
 def _concat(chunks, dtype=np.float64) -> np.ndarray:
@@ -241,7 +231,7 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     bins = np.linspace(0.0, 1.0, 11)
     ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc_res = duplicate_confusion([g for _, groups, _ in slices for g in groups],
+    dc_res = duplicate_confusion([g for _, groups, _ in slices for g in groups.values()],
                                  DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
     ne_res = naming_error([ne for *_, ne in slices])
 
@@ -259,14 +249,14 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
         "ne": ne_res.ne,
         "ne_mismatch_count": ne_res.mismatches,
         "n_gt": ne_res.n_gt,
-        "lrp": _mean_defined(r.lrp for r in lrp_by_cat.values()),
-        "lrp_loc": _mean_defined(r.lrp_loc for r in lrp_by_cat.values()),
-        "lrp_fp": _mean_defined(r.lrp_fp for r in lrp_by_cat.values()),
-        "lrp_fn": _mean_defined(r.lrp_fn for r in lrp_by_cat.values()),
-        "olrp": _mean_defined(olrp_by_cat.values()),
+        "lrp": mean_ap(r.lrp for r in lrp_by_cat.values()),
+        "lrp_loc": mean_ap(r.lrp_loc for r in lrp_by_cat.values()),
+        "lrp_fp": mean_ap(r.lrp_fp for r in lrp_by_cat.values()),
+        "lrp_fn": mean_ap(r.lrp_fn for r in lrp_by_cat.values()),
+        "olrp": mean_ap(olrp_by_cat.values()),
         "fp_tp_curve": {f"{b:.2f}": r for b, r in zip(bins, ratios)},
     }
-    verify = _verify(dataset, dets_by_image, curves, cfg) if cfg.verify else None
+    verify = _verify(dataset, dets_by_image, slices, curves, cfg) if cfg.verify else None
     return metrics, verify
 
 
@@ -274,29 +264,19 @@ def _dense_iou(rows, cols) -> np.ndarray:
     return np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
 
 
-def _table_is_exact(table: MaskTable, det_masks, gt_masks, det_cats) -> bool:
-    """Whether an ``image_table``'s det x GT block and each category's
-    det x det block equal ``iou`` of the decoded masks, entry for entry."""
-    if not np.array_equal(_det_gt_iou(table, len(det_masks)), _dense_iou(det_masks, gt_masks)):
-        return False
-    det_cats = np.array(det_cats, dtype=np.int64)
-    for cat in np.unique(det_cats):
-        d = np.flatnonzero(det_cats == cat)
-        dm = [det_masks[i] for i in d]
-        if not np.array_equal(table_pairwise_iou(table.take(d)), _dense_iou(dm, dm)):
-            return False
-    return True
+def _verify(dataset: Dataset, dets_by_image, slices, curves, cfg: EvalConfig) -> dict:
+    """Check what ``evaluate`` reported for a deterministic sample of images
+    against the brute-force references, the decoded masks and the input
+    detections' own scores. Nothing is rebuilt through the production path.
 
-
-def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
-    """Re-run a deterministic sample through the brute-force references.
-
-    Checks each sampled image's mask table (its det x GT block and every
-    category's det x det block against ``iou`` of the decoded masks, entry
-    for entry), greedy matching per sampled image, duplicate confusion on small
-    graphs from those images (the whole graph and each confidence floor of
-    ``cfg.dc_conf_thrs``), and the 101-point AP of every category at the
-    first IoU threshold.
+    Per sampled image, its ``compute_slices`` entry: each record's scores,
+    ``max_dets`` marks (the image's top detections by score, ties in file
+    order) and greedy match (TP flags and matched IoUs at the first AP IoU
+    threshold, ``lrp_iou_thr`` and ``f1_iou_thr``); the det x GT block and
+    each category's DC det x det block against ``iou``, entry for entry;
+    and duplicate confusion on small graphs read from those DC blocks (the
+    whole graph and each confidence floor of ``cfg.dc_conf_thrs``). Then the
+    101-point AP of every category at the first IoU threshold.
     """
     from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
 
@@ -308,27 +288,38 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
     matches_checked = graphs_checked = 0
 
     t0 = cfg.iou_thrs[0]
+    match_thrs = dict.fromkeys((t0, cfg.lrp_iou_thr, cfg.f1_iou_thr))
     dc_t, dc_v = cfg.dc_iou_thrs[0], cfg.dc_conf_thrs[0]
-    for image_id in (ids[i] for i in picks):
-        gts = dataset.gts_by_image.get(image_id, [])
-        dets = dets_by_image.get(image_id, [])
-        det_masks = [decode(d.mask) for d in dets]
-        gt_masks = [decode(g.mask) for g in gts]
+    for i in picks:
+        rows, dc_groups, (det_gt, *labels) = slices[i]
+        gts, dets = dataset.gts_by_image.get(ids[i], []), dets_by_image.get(ids[i], [])
+        det_masks, gt_masks = [decode(d.mask) for d in dets], [decode(g.mask) for g in gts]
+        det_cats, gt_cats = [d.category_id for d in dets], [g.category_id for g in gts]
         scores = np.array([d.score for d in dets], dtype=np.float64)
-        det_cats = [d.category_id for d in dets]
-        gt_cats = [g.category_id for g in gts]
-        if not _table_is_exact(image_table(gts, dets), det_masks, gt_masks, det_cats):
+        capped = np.zeros(len(dets), dtype=bool)
+        capped[sorted(range(len(dets)), key=lambda j: (-scores[j], j))[:cfg.max_dets]] = True
+        cats = sorted(set(det_cats) | set(gt_cats))
+        if (labels != [det_cats, gt_cats] or list(rows) != cats
+                or list(dc_groups) != [c for c in cats if c in det_cats]
+                or not np.array_equal(det_gt, _dense_iou(det_masks, gt_masks))):
             ok = False
-        for cat in sorted(set(det_cats) | set(gt_cats)):
-            dm = [m for m, c in zip(det_masks, det_cats) if c == cat]
+        for cat, rec in rows.items():
+            d = [j for j, c in enumerate(det_cats) if c == cat]
+            dm, s = [det_masks[j] for j in d], scores[d]
             gm = [m for m, c in zip(gt_masks, gt_cats) if c == cat]
-            s = scores[[c == cat for c in det_cats]]
-            got = greedy_match(dm, s, gm, t0)
-            want = match_bruteforce(dm, s, gm, t0)
-            matches_checked += len(dm)
-            if got.det_to_gt != want.det_to_gt or got.gt_to_det != want.gt_to_det:
+            matches_checked += len(d)
+            if not (np.array_equal(rec.scores, s) and np.array_equal(rec.capped, capped[d])
+                    and rec.n_gt == len(gm)):
                 ok = False
-            if not np.allclose(got.det_iou, want.det_iou, atol=VERIFY_TOL):
+            for t in match_thrs:
+                want = match_bruteforce(dm, s, gm, t)
+                if not (np.array_equal(rec.tp(t), [g is not None for g in want.det_to_gt])
+                        and np.allclose(rec.ious[t], want.det_iou, atol=VERIFY_TOL)):
+                    ok = False
+            if cat not in dc_groups:
+                continue
+            dc_scores, block = dc_groups[cat]
+            if not (np.array_equal(dc_scores, s) and np.array_equal(block, _dense_iou(dm, dm))):
                 ok = False
             keep = np.flatnonzero(s >= dc_v)
             if keep.size > VERIFY_MAX_GRAPH:
@@ -336,8 +327,7 @@ def _verify(dataset: Dataset, dets_by_image, curves, cfg: EvalConfig) -> dict:
                 # still exercising the production algorithm on real data
                 keep = np.sort(rng.choice(keep, size=VERIFY_MAX_GRAPH, replace=False))
             if keep.size >= 2:
-                pious = pairwise_iou([dm[i] for i in keep])
-                g = DetectionGraph.from_ious(s[keep], pious, dc_t)
+                g = DetectionGraph.from_ious(s[keep], block[np.ix_(keep, keep)], dc_t)
                 graphs_checked += 1
                 if abs(dc_single(g) - dc_bruteforce(g)) > VERIFY_TOL:
                     ok = False

@@ -189,14 +189,19 @@ def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, Semanti
     dataset = Dataset(images, {CATEGORY_ID: CategoryInfo(CATEGORY_ID, CATEGORY_NAME)},
                       gts_by_image)
     if out_dir is not None:
-        root = Path(out_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        write_ground_truth(dataset, root / "annotations.json")
-        write_semantic_masks(semantic.values(), root / "semantic")
-        with open(root / "config.json", "w") as f:
-            json.dump(asdict(cfg), f, indent=2)
-            f.write("\n")
+        _write_scene(out_dir, cfg, dataset, semantic)
     return dataset, semantic
+
+
+def _write_scene(out_dir, cfg: SynthConfig, dataset: Dataset, semantic) -> None:
+    """Write ``generate``'s output files into ``out_dir``."""
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    write_ground_truth(dataset, root / "annotations.json")
+    write_semantic_masks(semantic.values(), root / "semantic")
+    with open(root / "config.json", "w") as f:
+        json.dump(asdict(cfg), f, indent=2)
+        f.write("\n")
 
 
 def _jittered(rle: RleMask, table: MaskTable, i: int, rng: np.random.Generator, offsets):

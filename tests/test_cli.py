@@ -102,6 +102,25 @@ class TestSynthCommand:
         ])
         assert result.exit_code == 1
         assert "two categories" in result.stderr
+        assert not list((tmp_path / "x").glob("*"))  # checked before anything is written
+
+    def test_negative_spatial_copies_is_a_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "synth", "--out", str(tmp_path / "x"), "--n-images", "1",
+            "--spatial-copies", "-1",
+        ])
+        assert result.exit_code == 2
+        assert "-1" in result.stderr
+        assert not list((tmp_path / "x").glob("*"))
+
+    def test_negative_category_noise_is_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "synth", "--out", str(tmp_path / "x"), "--n-images", "1",
+            "--category-noise", "-0.5",
+        ])
+        assert result.exit_code == 1
+        assert "category_noise must lie in [0, 1]" in result.stderr
+        assert not list((tmp_path / "x").glob("*"))
 
 
 class TestEvalCommand:
@@ -340,7 +359,7 @@ class TestPrcurveCommand:
         def unused(*args, **kwargs):
             raise AssertionError("prcurve computed an input it does not use")
 
-        for name in ("pairwise_iou", "naming_error", "duplicate_confusion"):
+        for name in ("table_pairwise_iou", "naming_error", "duplicate_confusion"):
             monkeypatch.setattr(evaluate_mod, name, unused)
         result = runner.invoke(main, ["prcurve", "--gt", str(synth_dir / "annotations.json"),
                                       "--dt", str(synth_dir / "detections.json")])
@@ -367,10 +386,15 @@ class TestBenchCommand:
             ("40", "mask"), ("40", "semantic"), ("80", "mask"), ("80", "semantic")]
         assert all(float(r["seconds"]) > 0 for r in rows)
 
-    def test_bad_sizes(self, runner):
-        result = runner.invoke(main, ["bench-nms", "--sizes", "101"])
+    @pytest.mark.parametrize("sizes, message", [
+        ("101", "multiple"),
+        ("inf", "expected integers, got 'inf'"),
+        ("nan", "expected integers, got 'nan'"),
+    ], ids=["101", "inf", "nan"])
+    def test_bad_sizes(self, runner, sizes, message):
+        result = runner.invoke(main, ["bench-nms", "--sizes", sizes])
         assert result.exit_code == 2
-        assert "multiple" in result.stderr
+        assert message in result.stderr
 
     @pytest.mark.parametrize("dup_factor", ["0", "-1"])
     def test_dup_factor_below_one_is_a_usage_error(self, runner, dup_factor):

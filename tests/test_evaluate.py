@@ -1,5 +1,6 @@
 """End-to-end evaluation pipeline over in-memory datasets."""
 
+import dataclasses
 import importlib
 import json
 from datetime import datetime
@@ -145,6 +146,60 @@ class TestPerfectAndHedged:
         assert clean["ok"] and not broken["ok"]
         assert broken["images_checked"] == clean["images_checked"]
         assert broken["graphs_checked"] == clean["graphs_checked"]
+
+    @staticmethod
+    def _verify_clean_and_broken(synth, monkeypatch, name, wrap):
+        """Verify hedged detections, then again with ``evaluate``'s ``name``
+        replaced by ``wrap`` of it: the second run must fail, with the same
+        counts. Returns both runs' metrics."""
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+        dets = perfect_detector(synth, spatial_copies=2)
+        clean_metrics, clean = evaluate(synth, dets, EvalConfig(verify=True))
+        monkeypatch.setattr(evaluate_mod, name, wrap(getattr(evaluate_mod, name)))
+        metrics, broken = evaluate(synth, dets, EvalConfig(verify=True))
+        assert clean["ok"] and not broken["ok"]
+        for key in ("images_checked", "matches_checked", "graphs_checked"):
+            assert broken[key] == clean[key]
+        return clean_metrics, metrics
+
+    @staticmethod
+    def _each_record(change):
+        """A ``ranked_image`` wrapper that applies ``change`` to every record."""
+        def wrap(ranked_image):
+            def corrupted(*args):
+                *rest, rows = ranked_image(*args)
+                return (*rest, {c: change(r) for c, r in rows.items()})
+            return corrupted
+        return wrap
+
+    def test_verify_checks_the_record_scores(self, synth, monkeypatch):
+        def reversed_scores(r):
+            return dataclasses.replace(r, scores=r.scores[::-1].copy())
+
+        clean, broken = self._verify_clean_and_broken(
+            synth, monkeypatch, "ranked_image", self._each_record(reversed_scores))
+        assert clean["map"] == 1.0 > broken["map"]
+
+    def test_verify_checks_the_cap_marks(self, synth, monkeypatch):
+        def first_flipped(r):
+            capped = r.capped.copy()
+            capped[0] = not capped[0]
+            return dataclasses.replace(r, capped=capped)
+
+        self._verify_clean_and_broken(synth, monkeypatch, "ranked_image",
+                                      self._each_record(first_flipped))
+
+    def test_verify_checks_the_dc_blocks(self, synth, monkeypatch):
+        def one_entry_off(compute_slices):
+            def corrupted(*args):
+                slices = compute_slices(*args)
+                for _, dc_groups, _ in slices:
+                    for _, block in dc_groups.values():  # one ulp up: crosses no threshold
+                        block[0, -1] = np.nextafter(block[0, -1], 2.0)
+                return slices
+            return corrupted
+
+        self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_entry_off)
 
 
 class TestPerCategory:
