@@ -128,8 +128,12 @@ def _print_table(report, names, cfg):
     for name, value in rows:
         click.echo(f"{name:<{width}}  {value}")
     c = report["counts"]
-    click.echo(f"\nimages {c['n_images']}  categories {c['n_categories']}  "
+    summary = (f"\nimages {c['n_images']}  categories {c['n_categories']}  "
                f"ground truths {c['n_ground_truths']}  detections {c['n_detections']}")
+    if c["rejected_bad_score"] or c["rejected_empty_mask"]:
+        summary += (f"  rejected: bad score {c['rejected_bad_score']}  "
+                    f"empty mask {c['rejected_empty_mask']}")
+    click.echo(summary)
     if "verify" in report:
         v = report["verify"]
         state = "ok" if v["ok"] else "FAILED"
@@ -212,7 +216,9 @@ def cmd_eval(gt, dt, semantic, metrics, iou_thrs, dc_iou_thrs, dc_conf_thrs,
 @click.option("--decay", default="gaussian", type=click.Choice(DECAYS), show_default=True)
 @click.option("--sigma", default=2.0, show_default=True)
 @click.option("--score-mode", default="averaged", type=click.Choice(SCORE_MODES),
-              show_default=True, help="Semantic NMS output score convention.")
+              show_default=True,
+              help="Semantic NMS output score convention; 'sum' can write scores "
+                   "above 1, which every loader rejects.")
 @click.option("--semantic", default=None,
               help="Semantic mask source for method=semantic: a directory, "
                    f"{DERIVE_FROM_GT}, or {DERIVE_FROM_DT}.")

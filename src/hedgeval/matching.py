@@ -43,27 +43,23 @@ def greedy_match_from_ious(ious: np.ndarray, det_scores, iou_thr: float) -> Matc
 
     Detections claim, in descending-confidence order, the still-unmatched
     ground truth of highest IoU, provided that IoU reaches ``iou_thr``.
-    Equal-IoU candidates resolve to the lowest ground-truth index.
+    Equal-IoU candidates resolve to the lowest ground-truth index. Only the
+    pairs at or above ``iou_thr`` are read: sorted once by (detection rank,
+    -IoU, ground-truth index), each pair whose detection and ground truth
+    are both still free is a match.
     """
     n_det, n_gt = ious.shape
     det_to_gt: list[int | None] = [None] * n_det
     det_iou = [0.0] * n_det
     gt_to_det: list[int | None] = [None] * n_gt
-    gt_taken = np.zeros(n_gt, dtype=bool)
-    for d in confidence_order(det_scores):
-        best_gt = -1
-        best_iou = 0.0
-        for g in range(n_gt):
-            if gt_taken[g]:
-                continue
-            v = ious[d, g]
-            if v >= iou_thr and (best_gt < 0 or v > best_iou):
-                best_gt, best_iou = g, v
-        if best_gt >= 0:
-            gt_taken[best_gt] = True
-            det_to_gt[d] = best_gt
-            det_iou[d] = float(best_iou)
-            gt_to_det[best_gt] = int(d)
+    rank = np.empty(n_det, dtype=np.intp)
+    rank[confidence_order(det_scores)] = np.arange(n_det)
+    dets, gts = np.nonzero(ious >= iou_thr)
+    vals = ious[dets, gts]
+    order = np.lexsort((gts, -vals, rank[dets]))
+    for d, g, v in zip(dets[order].tolist(), gts[order].tolist(), vals[order].tolist()):
+        if det_to_gt[d] is None and gt_to_det[g] is None:
+            det_to_gt[d], det_iou[d], gt_to_det[g] = g, v, d
     return MatchResult(det_to_gt, det_iou, gt_to_det)
 
 

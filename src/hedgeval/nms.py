@@ -119,16 +119,13 @@ def soft_nms(table: MaskTable, scores, categories, decay: str = "gaussian", sigm
     detection and decay what's left by overlap with it. ``iou_thr`` gates
     the linear decay only; gaussian decays every overlap."""
     scores = np.asarray(scores, dtype=np.float64)
-    categories = np.asarray(categories)
     out = scores.copy()
-    for c in np.unique(categories):
-        # ingestion order: the (score, -position) tie-break depends on it
-        idx = np.flatnonzero(categories == c)
-        pair = table_pairwise_iou(table.take(idx))
-        cur = scores[idx].copy()
-        remaining = list(range(len(idx)))
+    for ranked, pair in _ranked_ious(table, scores, categories):
+        cur = scores[ranked]
+        remaining = list(range(len(ranked)))
         while remaining:
-            r = max(remaining, key=lambda i: (cur[i], -i))
+            # ties go to the earliest detection in the file
+            r = max(remaining, key=lambda i: (cur[i], -ranked[i]))
             remaining.remove(r)
             if not remaining:
                 break
@@ -138,7 +135,7 @@ def soft_nms(table: MaskTable, scores, categories, decay: str = "gaussian", sigm
             else:
                 weights = np.where(ious >= iou_thr, 1.0 - ious, 1.0)
             cur[remaining] *= weights
-        out[idx] = cur
+        out[ranked] = cur
     return out
 
 

@@ -162,6 +162,26 @@ class TestEvalCommand:
         ], env={"HEDGEVAL_THREADS": "3"})
         assert result.exit_code == 0, result.output
 
+    def test_summary_names_rejected_detections(self, runner, synth_dir, tmp_path):
+        gt = str(synth_dir / "annotations.json")
+        result = runner.invoke(main, ["eval", "--gt", gt,
+                                      "--dt", str(synth_dir / "detections.json")])
+        assert result.exit_code == 0, result.output
+        assert "rejected" not in result.output
+        # 'sum' scores lie above 1, so the loader rejects every kept detection
+        kept = tmp_path / "kept.json"
+        result = runner.invoke(main, [
+            "nms", "--gt", gt, "--dt", str(synth_dir / "detections.json"),
+            "--out", str(kept), "--semantic", "derive-from-gt", "--score-mode", "sum",
+        ])
+        assert result.exit_code == 0, result.output
+        n_kept = len(json.loads(kept.read_text()))
+        assert n_kept > 0
+        result = runner.invoke(main, ["eval", "--gt", gt, "--dt", str(kept)])
+        assert result.exit_code == 0, result.output
+        assert (f"detections 0  rejected: bad score {n_kept}  empty mask 0"
+                in result.output)
+
     def test_missing_gt_fails_on_stderr(self, runner, tmp_path):
         result = runner.invoke(main, [
             "eval", "--gt", str(tmp_path / "nope.json"), "--dt", str(tmp_path / "d.json"),

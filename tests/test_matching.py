@@ -97,6 +97,25 @@ class TestGreedyMatch:
             assert got.gt_to_det == ref.gt_to_det
             assert got.det_iou == pytest.approx(ref.det_iou, abs=1e-12)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_bruteforce_oracle_on_ties(self, data):
+        # 3x3 masks make IoUs repeat, and the threshold is one of the IoUs
+        # the drawn masks realize, so pairs sit exactly on it
+        grid = arrays(bool, (3, 3))
+        dets = data.draw(st.lists(grid, max_size=6))
+        gts = data.draw(st.lists(grid, max_size=5))
+        scores = data.draw(st.lists(st.sampled_from((0.2, 0.5, 0.8)),
+                                    min_size=len(dets), max_size=len(dets)))
+        realized = sorted({np.count_nonzero(d & g) / np.count_nonzero(d | g)
+                           for d in dets for g in gts if (d | g).any()})
+        thr = data.draw(st.sampled_from(realized or [0.5]))
+        got = greedy_match(dets, scores, gts, thr)
+        ref = match_bruteforce(dets, scores, gts, thr)
+        assert got.det_to_gt == ref.det_to_gt
+        assert got.det_iou == ref.det_iou
+        assert got.gt_to_det == ref.gt_to_det
+
     def test_matched_iou_meets_threshold(self, rng):
         dets = [random_mask(rng, 10, 10, 0.5) for _ in range(6)]
         gts = [random_mask(rng, 10, 10, 0.5) for _ in range(6)]
