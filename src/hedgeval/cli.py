@@ -273,7 +273,9 @@ def cmd_nms(gt, dt, out, method, iou_thr, score_floor, occupancy_thr, decay,
 @click.option("--spatial-copies", default=0, show_default=True, type=click.IntRange(min=0),
               help="Jittered low-confidence duplicates per instance.")
 @click.option("--category-noise", default=0.0, show_default=True,
-              help="Probability of a wrong-category copy per instance.")
+              help="Probability of a wrong-category copy per instance. It needs a "
+                   "second category, and synth builds one, so any value above 0 "
+                   "exits 1 for now.")
 @click.option("--conf-step", default=0.05, show_default=True)
 @click.option("--jitter-px", default=2, show_default=True)
 @click.option("--detector-seed", default=0, show_default=True)
@@ -300,12 +302,12 @@ def cmd_synth(out, n_images, parts, height, width, sigma_frac, length_range,
                                     seed=detector_seed)
         except ValueError as e:
             raise click.ClickException(str(e))
-    _write_scene(out, cfg, dataset, semantic)
+    _write(lambda scene, path: _write_scene(path, cfg, *scene), (dataset, semantic), out)
     click.echo(f"wrote {n_images} images, {dataset.n_ground_truths} annotations -> {out}")
     if dets is not None:
         flat = [d for image_id in sorted(dets) for d in dets[image_id]]
         path = Path(out) / "detections.json"
-        write_detections(flat, path)
+        _write(write_detections, flat, path)
         click.echo(f"wrote {len(flat)} detections -> {path}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -75,9 +76,17 @@ class RleMask:
         """Number of foreground pixels."""
         return sum(self.counts[1::2])
 
+    @cached_property
+    def _counts_string(self) -> str:
+        # cached in the instance's __dict__, outside the fields that
+        # ==, hash and repr read, so a mask is compressed once however
+        # many files it is written to
+        return compress_leb(self)
+
     def to_json(self) -> dict:
-        """COCO segmentation object with a compressed counts string."""
-        return {"size": [self.height, self.width], "counts": compress_leb(self)}
+        """COCO segmentation object with a compressed counts string,
+        computed on the mask's first call."""
+        return {"size": [self.height, self.width], "counts": self._counts_string}
 
 
 def encode(mask: np.ndarray) -> RleMask:

@@ -64,7 +64,7 @@ def _ranked_ious(table: MaskTable, scores, categories):
     """Per category, its detection indices by descending score (ties keep
     ingestion order) and their IoU matrix in that order."""
     scores, categories = np.asarray(scores, dtype=np.float64), np.asarray(categories)
-    for c in np.unique(categories):
+    for c in sorted(set(categories.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(categories == c)
         ranked = idx[confidence_order(scores[idx])]
         yield ranked, table_pairwise_iou(table.take(ranked))

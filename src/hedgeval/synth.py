@@ -138,52 +138,84 @@ def _place(cfg: SynthConfig, rng: np.random.Generator,
     )
 
 
-def _visible_parts(cfg: SynthConfig, image_index: int):
-    """Yield the visible parts of one scene in draw order, empties dropped,
-    as ``(r0, c0, crop)``: a part's visible pixels on its box, whose top-left
-    pixel is (r0, c0). Each image has its own RNG stream derived from (seed,
-    image_index), so results do not depend on how images are scheduled."""
+def _label_canvas(cfg: SynthConfig, image_index: int) -> np.ndarray:
+    """One scene's parts painted in draw order: part k (from 1) writes label
+    k over its pixels, so each pixel holds the label of the last part drawn
+    on it, 0 for background. The canvas is F-ordered, so its column-major
+    flat view is free, and its dtype is the smallest unsigned type that
+    holds every label. Each image has its own RNG stream derived from
+    (seed, image_index), so results do not depend on how images are
+    scheduled."""
     rng = np.random.default_rng((cfg.seed, image_index))
-    canvas = np.zeros((cfg.height, cfg.width), dtype=np.int32)
-    boxes = []
+    canvas = np.zeros((cfg.height, cfg.width), order="F",
+                      dtype=np.min_scalar_type(cfg.parts_per_image))
     for part in range(cfg.parts_per_image):
         length = rng.uniform(*cfg.length_range)
         cap_width = rng.uniform(*cfg.width_range)
         theta = rng.uniform(0.0, np.pi)
         cx, cy = _place(cfg, rng, length, cap_width, theta)
         r0, c0, local = _capsule_box(cfg.height, cfg.width, cx, cy, length, cap_width, theta)
-        box = np.s_[r0:r0 + local.shape[0], c0:c0 + local.shape[1]]
-        canvas[box][local] = part + 1
-        boxes.append((r0, c0, box))
-    # a part's visible pixels lie inside its own box
-    for part, (r0, c0, box) in enumerate(boxes):
-        crop = canvas[box] == part + 1
-        if crop.any():
-            yield r0, c0, crop
+        canvas[r0:r0 + local.shape[0], c0:c0 + local.shape[1]][local] = part + 1
+    return canvas
+
+
+def _label_runs(canvas: np.ndarray) -> list[list[int]]:
+    """The column-major runs of every label present on ``canvas`` but 0, in
+    label order (which is draw order), from one scan of the canvas.
+
+    The canvas splits into maximal runs of one label. A stable sort groups
+    the foreground runs by label, in image order within a label; a label's
+    counts are then each run's distance from the end of the label's
+    previous run (from the image start for its first run) and its length,
+    then the background to the image end, dropped when empty, as
+    ``encode`` writes it.
+    """
+    flat = canvas.ravel(order="F")  # a view: the canvas is F-ordered
+    starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
+    ends = np.append(starts[1:], flat.size)
+    labels = flat[starts]
+    fg = np.flatnonzero(labels)
+    fg = fg[np.argsort(labels[fg], kind="stable")]
+    labels, starts, ends = labels[fg], starts[fg], ends[fg]
+    # new[i]: a label's runs end before run i and the next label's start at it
+    new = np.ones(labels.size + 1, dtype=bool)
+    new[1:-1] = labels[1:] != labels[:-1]
+    first, last = new[:-1], new[1:]
+    before = np.roll(ends, 1)  # where the label's previous run ended
+    before[first] = 0
+    runs = np.empty(2 * labels.size, dtype=np.int64)
+    runs[0::2], runs[1::2] = starts - before, ends - starts
+    runs = runs.tolist()
+    bounds = np.flatnonzero(new).tolist()
+    tails = (flat.size - ends[last]).tolist()
+    return [runs[2 * a:2 * b] + ([tail] if tail else [])
+            for a, b, tail in zip(bounds, bounds[1:], tails)]
 
 
 def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, SemanticMaskSet]]:
     """Build the dataset and per-image semantic masks (union of GT pixels).
 
-    When ``out_dir`` is given, writes annotations.json, a semantic/ mask
-    directory, and config.json there.
+    A ground-truth mask holds a part's pixels on its image's label canvas,
+    which one scan of the canvas encodes for every part; parts with no
+    visible pixel are dropped. When ``out_dir`` is given, writes
+    annotations.json, a semantic/ mask directory, and config.json there.
     """
+    h, w = cfg.height, cfg.width
     images: dict[int, ImageInfo] = {}
     gts_by_image: dict[int, list[GroundTruthInstance]] = {}
     semantic: dict[int, SemanticMaskSet] = {}
     ann_id = 1
     for index in range(cfg.n_images):
         image_id = index + 1
-        images[image_id] = ImageInfo(image_id, cfg.height, cfg.width)
+        images[image_id] = ImageInfo(image_id, h, w)
+        canvas = _label_canvas(cfg, index)
         gts = []
-        union = np.zeros((cfg.height, cfg.width), dtype=bool)
-        for r0, c0, crop in _visible_parts(cfg, index):
-            rle = encode_box(crop, r0, c0, cfg.height, cfg.width)
+        for counts in _label_runs(canvas):
+            rle = RleMask._unchecked(h, w, counts)
             gts.append(GroundTruthInstance(image_id, ann_id, CATEGORY_ID, rle))
             ann_id += 1
-            union[r0:r0 + crop.shape[0], c0:c0 + crop.shape[1]] |= crop
         gts_by_image[image_id] = gts
-        masks = {CATEGORY_ID: union} if union.any() else {}
+        masks = {CATEGORY_ID: canvas > 0} if gts else {}
         semantic[image_id] = SemanticMaskSet(image_id, masks)
 
     dataset = Dataset(images, {CATEGORY_ID: CategoryInfo(CATEGORY_ID, CATEGORY_NAME)},

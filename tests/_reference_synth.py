@@ -1,13 +1,15 @@
 """Dense whole-image views of the synthetic generator, used only by tests.
 
-The generator works on each part's bounding box; these helpers paint its
-boxes onto full H x W canvases, and translate whole masks, so tests can
-compare the box paths against pixel-level definitions.
+The generator rasterises each part on its bounding box and encodes every
+visible part from one scan of the scene's label canvas; these helpers
+paint the boxes onto full H x W canvases, read each part's pixels off the
+label canvas, and translate whole masks, so tests can compare the box and
+run paths against pixel-level definitions.
 """
 
 import numpy as np
 
-from hedgeval.synth import SynthConfig, _capsule_box, _visible_parts
+from hedgeval.synth import SynthConfig, _capsule_box, _label_canvas
 
 
 def render_capsule(height: int, width: int, cx: float, cy: float,
@@ -23,13 +25,11 @@ def render_capsule(height: int, width: int, cx: float, cy: float,
 
 def generate_image(cfg: SynthConfig, image_index: int) -> list[np.ndarray]:
     """Visible-pixel masks of one scene, in draw order, empties dropped, each
-    on a whole-image canvas."""
-    masks = []
-    for r0, c0, crop in _visible_parts(cfg, image_index):
-        m = np.zeros((cfg.height, cfg.width), dtype=bool)
-        m[r0:r0 + crop.shape[0], c0:c0 + crop.shape[1]] = crop
-        masks.append(m)
-    return masks
+    on a whole-image canvas: the pixels of each label of the scene's label
+    canvas."""
+    canvas = np.ascontiguousarray(_label_canvas(cfg, image_index))
+    masks = (canvas == label for label in range(1, cfg.parts_per_image + 1))
+    return [m for m in masks if m.any()]
 
 
 def shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:

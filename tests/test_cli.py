@@ -104,6 +104,21 @@ class TestSynthCommand:
         assert "two categories" in result.stderr
         assert not list((tmp_path / "x").glob("*"))  # checked before anything is written
 
+    def test_out_under_a_file_is_an_error(self, runner, tmp_path):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        result = runner.invoke(main, ["synth", "--out", str(out), "--n-images", "1"])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: cannot write {out}: Not a directory\n"
+
+    def test_unwritable_detections_is_an_error(self, runner, tmp_path):
+        out = tmp_path / "x"
+        (out / "detections.json").mkdir(parents=True)  # a directory, not a file
+        result = runner.invoke(main, ["synth", "--out", str(out), "--n-images", "1",
+                                      "--detections"])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: cannot write {out / 'detections.json'}: Is a directory\n"
+
     def test_negative_spatial_copies_is_a_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "synth", "--out", str(tmp_path / "x"), "--n-images", "1",
@@ -438,6 +453,24 @@ class TestImports:
         eager = {"coco", "mask", "matching", "pr", "lrp", "hedging", "evaluate", "nms"}
         assert {f"hedgeval.{m}" for m in eager} <= loaded
         assert not {"hedgeval.synth", "hedgeval.bench", "hedgeval.oracles"} & loaded
+
+    def test_pairwise_nms_never_loads_numpy_ma(self, synth_dir, tmp_path):
+        # np.unique loads numpy.ma (about 10 ms per process on numpy 2.4)
+        import hedgeval
+
+        src = str(Path(hedgeval.__file__).resolve().parent.parent)
+        code = ("import sys; from hedgeval.cli import main\n"
+                "for method in ('mask', 'matrix', 'soft'):\n"
+                "    main(['nms', '--gt', sys.argv[1], '--dt', sys.argv[2], '--out', sys.argv[3],\n"
+                "          '--method', method], standalone_mode=False)\n"
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(synth_dir / "annotations.json"),
+                              str(synth_dir / "detections.json"), str(tmp_path / "kept.json")],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        lines = out.stdout.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["mask", "matrix", "soft"]
+        assert lines[-1] == "False"
 
     def test_package_still_exports_the_generator(self):
         from hedgeval import SynthConfig, generate, perfect_detector

@@ -1,11 +1,12 @@
 """Synthetic scene generator and the hedging injector built on top of it."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,11 +19,13 @@ from hedgeval.coco import (
     load_detections,
     load_ground_truth,
     load_semantic_masks,
+    write_detections,
+    write_ground_truth,
 )
 from hedgeval import mask as mask_module
 from hedgeval import synth
 from hedgeval.mask import RleMask, decode, encode, iou
-from hedgeval.synth import SynthConfig, _place, generate, perfect_detector
+from hedgeval.synth import SynthConfig, _label_canvas, _place, generate, perfect_detector
 
 from _reference_synth import generate_image, render_capsule, shift_mask
 
@@ -277,7 +280,59 @@ class TestGenerateImage:
                 assert np.array_equal(g, w)
 
 
+@st.composite
+def small_configs(draw):
+    """Small scenes: crowded ones, where later parts cover earlier ones
+    whole; long parts, which reach the image borders; and zero-length parts
+    (discs). Placement may still run out of tries on a tight fit."""
+    h, w = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    room = min(h, w)
+    cap_hi = room * draw(st.floats(0.05, 0.5))
+    cap_lo = cap_hi * draw(st.floats(0.1, 1.0))
+    length_hi = (room - cap_hi) * max(0.0, draw(st.floats(-0.3, 0.9)))
+    length_lo = length_hi * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return SynthConfig(n_images=draw(st.integers(1, 2)), parts_per_image=draw(st.integers(1, 60)),
+                       height=h, width=w, sigma_frac=draw(st.floats(0.02, 1.0)),
+                       length_range=(length_lo, length_hi), width_range=(cap_lo, cap_hi),
+                       seed=draw(st.integers(0, 2**16)))
+
+
+# 300 parts on 24x24: the labels past 255 need a uint16 canvas
+MANY_PARTS = SynthConfig(n_images=1, parts_per_image=300, height=24, width=24, sigma_frac=0.3,
+                         length_range=(0.0, 8.0), width_range=(1.0, 4.0), seed=5)
+
+
 class TestGenerate:
+    @settings(max_examples=150, deadline=None)
+    @given(small_configs())
+    @example(MANY_PARTS)
+    def test_matches_full_canvas_painting(self, cfg):
+        # every visible part, as canonical runs, and the union, against the
+        # generator that compared the whole int32 canvas with each label
+        try:
+            want = [generate_image_full_canvas(cfg, index) for index in range(cfg.n_images)]
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="could not place"):
+                generate(cfg)
+            return
+        ds, semantic = generate(cfg)
+        for index, visible in enumerate(want):
+            gts = ds.gts_by_image[index + 1]
+            assert [gt.mask.counts for gt in gts] == [encode(m).counts for m in visible]
+            for gt, m in zip(gts, visible):
+                assert gt.mask == RleMask(cfg.height, cfg.width, gt.mask.counts)
+                assert np.array_equal(decode(gt.mask), m)
+            if visible:
+                assert np.array_equal(semantic[index + 1].masks[1], np.logical_or.reduce(visible))
+            else:
+                assert semantic[index + 1].masks == {}
+
+    def test_labels_past_255_widen_the_canvas(self):
+        canvas = _label_canvas(MANY_PARTS, 0)
+        assert canvas.dtype == np.uint16 and canvas.flags.f_contiguous
+        assert canvas.max() > 255
+        assert _label_canvas(replace(MANY_PARTS, parts_per_image=255), 0).dtype == np.uint8
+
     def test_dataset_shape(self):
         cfg = SynthConfig(n_images=6, seed=1)
         ds, semantic = generate(cfg)
@@ -323,6 +378,43 @@ class TestGenerate:
         assert files_a == files_b and files_a
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+
+
+class TestWrittenOnce:
+    def test_each_mask_object_is_compressed_once(self, tmp_path, monkeypatch):
+        ds, _ = generate(SynthConfig(n_images=3, seed=4))
+        dets = perfect_detector(ds, spatial_copies=1, seed=2)
+        flat = [d for image_id in sorted(dets) for d in dets[image_id]]
+        compressed = []
+        compress = mask_module.compress_leb
+
+        def counting(rle):
+            compressed.append(id(rle))
+            return compress(rle)
+
+        monkeypatch.setattr(mask_module, "compress_leb", counting)
+        write_ground_truth(ds, tmp_path / "gt.json")
+        write_detections(flat, tmp_path / "dt.json")
+        gt_masks = {id(gt.mask) for gts in ds.gts_by_image.values() for gt in gts}
+        masks = gt_masks | {id(d.mask) for d in flat}
+        # a perfect detection shares its ground truth's mask; a copy is new
+        assert len(gt_masks) == ds.n_ground_truths and len(masks) == 2 * ds.n_ground_truths
+        assert sorted(compressed) == sorted(masks)
+
+        def fresh(m):
+            return RleMask(m.height, m.width, m.counts)
+
+        fresh_ds = Dataset(ds.images, ds.categories,
+                           {i: [replace(gt, mask=fresh(gt.mask)) for gt in gts]
+                            for i, gts in ds.gts_by_image.items()})
+        write_ground_truth(fresh_ds, tmp_path / "fresh_gt.json")
+        write_detections([replace(d, mask=fresh(d.mask)) for d in flat], tmp_path / "fresh_dt.json")
+        for name in ("gt", "dt"):
+            assert ((tmp_path / f"{name}.json").read_bytes()
+                    == (tmp_path / f"fresh_{name}.json").read_bytes())
+        for d in flat:
+            m, f = d.mask, fresh(d.mask)
+            assert m == f and hash(m) == hash(f) and repr(m) == repr(f)
 
 
 def two_category_dataset():
