@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .mask import (
-    MaskTable,
     RleMask,
-    decode,
+    _foreground_runs,
     encode,
     leb_counts,
     rasterize_polygon,
@@ -64,10 +63,12 @@ class Detection:
 
 @dataclass
 class SemanticMaskSet:
-    """One dense binary mask per category for a single image."""
+    """One run-length mask per category for a single image, like every other
+    mask of the data model; ``decode`` gives a category's pixels. A category
+    with no entry has an empty mask."""
 
     image_id: int
-    masks: dict[int, np.ndarray]
+    masks: dict[int, RleMask]
 
 
 @dataclass
@@ -299,20 +300,36 @@ def _check_detection(idx: int, rec, dataset: Dataset):
     return label, img, source, image_id, category_id, score
 
 
-def _union_masks(image: ImageInfo, groups) -> dict[int, np.ndarray]:
-    shape = (image.height, image.width)
-    masks: dict[int, np.ndarray] = {}
+def _union_masks(image: ImageInfo, groups) -> dict[int, RleMask]:
+    """Each category's union of its masks, merged from their foreground runs
+    with no pixel painted, so it holds memory for runs, not for H x W.
+
+    Every mask's runs sum to H x W, so a run's start modulo H x W is its
+    first pixel in the image. Sorted by start, a run joins the union's
+    current run unless it starts past the furthest end so far; the merged
+    runs are disjoint and never touch, so their counts are the canonical
+    ones ``encode`` writes for the painted union.
+    """
+    h, w = image.height, image.width
+    masks: dict[int, RleMask] = {}
     for category_id, rles in groups.items():
         for r in rles:
-            if (r.height, r.width) != shape:
-                raise ValueError(f"mask size {(r.height, r.width)} differs from image size {shape}")
-        # column-major, like the decoded masks it is compared with; each
-        # mask's crop is ORed into its box with no full-image decode
-        dense = np.zeros(shape, dtype=bool, order="F")
-        table = MaskTable.from_rles(rles)
-        for (r0, r1, c0, c1), crop in zip(table.boxes.tolist(), table.crops):
-            dense[r0:r1, c0:c1] |= crop
-        masks[category_id] = dense
+            if (r.height, r.width) != (h, w):
+                raise ValueError(f"mask size {(r.height, r.width)} differs from image size {(h, w)}")
+        run, end = _foreground_runs(rles)
+        start = (end - run) % (h * w)
+        order = np.argsort(start, kind="stable")
+        start = start[order]
+        reach = np.maximum.accumulate(start + run[order])  # furthest end so far
+        new = np.ones(start.size, dtype=bool)  # a merged run starts here
+        new[1:] = start[1:] > reach[:-1]
+        last = np.ones(start.size, dtype=bool)  # a merged run ends here
+        last[:-1] = new[1:]
+        edges = np.stack((start[new], reach[last]), axis=1).ravel()
+        counts = np.diff(edges, prepend=0, append=h * w).tolist()
+        if counts[-1] == 0:  # the last run is foreground and ends the image
+            counts.pop()
+        masks[category_id] = RleMask._unchecked(h, w, counts)
     return masks
 
 
@@ -348,7 +365,7 @@ def _check_semantic_file(entry):
 
 def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Detection]] | None = None,
                         conf_floor: float = 0.5) -> dict[int, SemanticMaskSet]:
-    """Produce one SemanticMaskSet per dataset image.
+    """Produce one SemanticMaskSet per dataset image, its masks as runs.
 
     ``source`` is a directory path (layout semantic/<image_id>/<category_id>.json,
     one RLE object per file; absent files mean an empty mask, a JSON file
@@ -356,11 +373,13 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
     ``LoadError``), or one of the modes 'derive-from-gt' (union of GT masks
     per category) and 'derive-from-dt' (union of detection masks per
     category with score >= conf_floor, requires ``detections``; those of
-    images outside the dataset are ignored). Directory files are checked
+    images outside the dataset are ignored). A source that is neither a
+    mode nor a directory raises ``LoadError``. Directory files are checked
     first, then their masks are built with the counts strings decoded in
     batches, as the two loaders do; errors name the first faulty file in
-    (image, category) order. A ``conf_floor`` outside [0, 1], NaN included,
-    raises ``ValueError``.
+    (image, category) order. No mask is decoded to pixels: memory follows
+    the masks' runs, not images x H x W. A ``conf_floor`` outside [0, 1],
+    NaN included, raises ``ValueError``.
     """
     if not 0.0 <= conf_floor <= 1.0:
         raise ValueError(f"conf_floor must lie in [0, 1], got {conf_floor}")
@@ -377,10 +396,13 @@ def load_semantic_masks(source, dataset: Dataset, detections: dict[int, list[Det
             out[image_id] = SemanticMaskSet(image_id, _union_masks(img, groups))
         return out
 
+    root = Path(source)
+    if not root.is_dir():
+        raise LoadError(f"semantic mask source {source} is not a directory")
     out = {i: SemanticMaskSet(i, {}) for i in dataset.images}
-    checked = _check_in_order(_semantic_files(Path(source), dataset), _check_semantic_file)
+    checked = _check_in_order(_semantic_files(root, dataset), _check_semantic_file)
     for _, rle, image_id, category_id in _with_masks(*checked):
-        out[image_id].masks[category_id] = decode(rle)
+        out[image_id].masks[category_id] = rle
     return out
 
 
@@ -441,19 +463,19 @@ def write_ground_truth(dataset: Dataset, path) -> None:
 def write_semantic_masks(sets, out_dir) -> None:
     """Write SemanticMaskSets in the directory layout load_semantic_masks reads.
 
-    Empty category masks are skipped; absence and all-zero are equivalent
-    on the read side.
+    Each mask's runs are written as they are, never decoded. Empty category
+    masks are skipped; absence and all-zero are equivalent on the read side.
     """
     root = Path(out_dir)
     for sem in sets:
         img_dir = root / str(sem.image_id)
         img_dir.mkdir(parents=True, exist_ok=True)
         for category_id in sorted(sem.masks):
-            dense = sem.masks[category_id]
-            if not dense.any():
+            rle = sem.masks[category_id]
+            if not rle.area:
                 continue
             with open(img_dir / f"{category_id}.json", "w") as f:
-                json.dump(encode(dense).to_json(), f)
+                f.write(json.dumps(rle.to_json()))
 
 
 def write_report(report: dict, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import MaskTable, table_pairwise_iou
+from .mask import MaskTable, decode, table_pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -178,7 +178,8 @@ def semantic_nms(table: MaskTable, categories, semantic: dict[int, np.ndarray],
     """Single-pass occupancy suppression over pre-sorted detections.
 
     ``semantic`` is the working budget and is consumed in place, in either
-    memory layout; pass copies if the originals matter. A detection is kept
+    memory layout; pass copies if the originals matter (``run_nms`` hands
+    it each image's freshly decoded budgets). A detection is kept
     iff at least ``thr`` of its pixels are still free in its category's
     budget, and a kept one clears its pixels from the budget's window of its
     box. Returns per-detection keep flags in the table's order. No detection
@@ -204,9 +205,10 @@ def _semantic_pass(dets: list[Detection], table: MaskTable, sem_set: SemanticMas
                    cfg: NmsConfig) -> list[Detection]:
     scores = [d.score for d in dets]
     categories = [d.category_id for d in dets]
-    order, combined = semantic_sort(table, scores, categories, sem_set.masks)
-    working = {c: m.copy(order="K") for c, m in sem_set.masks.items()}
-    keep = semantic_nms(table.take(order), [categories[i] for i in order], working,
+    # the image's budgets, decoded once: read by the sort, then consumed
+    budgets = {c: decode(m) for c, m in sem_set.masks.items()}
+    order, combined = semantic_sort(table, scores, categories, budgets)
+    keep = semantic_nms(table.take(order), [categories[i] for i in order], budgets,
                         cfg.occupancy_thr)
     out = []
     for pos, i in enumerate(order):
@@ -232,6 +234,9 @@ def run_nms(dets_by_image: dict[int, list[Detection]], cfg: NmsConfig,
     scores). The semantic method emits survivors in processing order with
     scores per cfg.score_mode: 'original' tau, the raw rescoring 'sum', or
     that sum 'averaged' into [0, 1] (default, keeps output files reloadable).
+    It decodes one image's semantic masks at a time, so it holds one
+    image's budgets, never the whole set's; ``semantic_sets`` is left as
+    it was.
     """
     if cfg.method == "semantic" and semantic_sets is None:
         raise ValueError("semantic NMS requires semantic masks")

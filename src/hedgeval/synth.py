@@ -159,21 +159,26 @@ def _label_canvas(cfg: SynthConfig, image_index: int) -> np.ndarray:
     return canvas
 
 
-def _label_runs(canvas: np.ndarray) -> list[list[int]]:
+def _label_runs(canvas: np.ndarray) -> tuple[list[list[int]], list[int]]:
     """The column-major runs of every label present on ``canvas`` but 0, in
-    label order (which is draw order), from one scan of the canvas.
+    label order (which is draw order), and those of the union of every
+    label but 0, from one scan of the canvas.
 
     The canvas splits into maximal runs of one label. A stable sort groups
     the foreground runs by label, in image order within a label; a label's
     counts are then each run's distance from the end of the label's
     previous run (from the image start for its first run) and its length,
     then the background to the image end, dropped when empty, as
-    ``encode`` writes it.
+    ``encode`` writes it. The union changes only where a run of label 0
+    meets one of another label, so its counts are the distances between
+    those run starts.
     """
     flat = canvas.ravel(order="F")  # a view: the canvas is F-ordered
     starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
     ends = np.append(starts[1:], flat.size)
     labels = flat[starts]
+    edges = starts[np.diff(labels > 0, prepend=False)]
+    union = np.diff(edges, prepend=0, append=flat.size).tolist()
     fg = np.flatnonzero(labels)
     fg = fg[np.argsort(labels[fg], kind="stable")]
     labels, starts, ends = labels[fg], starts[fg], ends[fg]
@@ -189,16 +194,17 @@ def _label_runs(canvas: np.ndarray) -> list[list[int]]:
     bounds = np.flatnonzero(new).tolist()
     tails = (flat.size - ends[last]).tolist()
     return [runs[2 * a:2 * b] + ([tail] if tail else [])
-            for a, b, tail in zip(bounds, bounds[1:], tails)]
+            for a, b, tail in zip(bounds, bounds[1:], tails)], union
 
 
 def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, SemanticMaskSet]]:
     """Build the dataset and per-image semantic masks (union of GT pixels).
 
     A ground-truth mask holds a part's pixels on its image's label canvas,
-    which one scan of the canvas encodes for every part; parts with no
-    visible pixel are dropped. When ``out_dir`` is given, writes
-    annotations.json, a semantic/ mask directory, and config.json there.
+    which one scan of the canvas encodes for every part and for their
+    union; parts with no visible pixel are dropped. When ``out_dir`` is
+    given, writes annotations.json, a semantic/ mask directory, and
+    config.json there.
     """
     h, w = cfg.height, cfg.width
     images: dict[int, ImageInfo] = {}
@@ -208,14 +214,14 @@ def generate(cfg: SynthConfig, out_dir=None) -> tuple[Dataset, dict[int, Semanti
     for index in range(cfg.n_images):
         image_id = index + 1
         images[image_id] = ImageInfo(image_id, h, w)
-        canvas = _label_canvas(cfg, index)
+        parts, union = _label_runs(_label_canvas(cfg, index))
         gts = []
-        for counts in _label_runs(canvas):
+        for counts in parts:
             rle = RleMask._unchecked(h, w, counts)
             gts.append(GroundTruthInstance(image_id, ann_id, CATEGORY_ID, rle))
             ann_id += 1
         gts_by_image[image_id] = gts
-        masks = {CATEGORY_ID: canvas > 0} if gts else {}
+        masks = {CATEGORY_ID: RleMask._unchecked(h, w, union)} if gts else {}
         semantic[image_id] = SemanticMaskSet(image_id, masks)
 
     dataset = Dataset(images, {CATEGORY_ID: CategoryInfo(CATEGORY_ID, CATEGORY_NAME)},

@@ -354,6 +354,33 @@ class TestNmsCommand:
         ])
         assert result.exit_code == 0, result.output
 
+    def test_directory_and_derived_sources_keep_the_same_bytes(self, runner, synth_dir, tmp_path):
+        # synth writes the union of its ground truth, which derive-from-gt builds
+        kept = {}
+        for name, source in (("dir", str(synth_dir / "semantic")), ("gt", "derive-from-gt")):
+            kept[name] = tmp_path / f"kept-{name}.json"
+            result = runner.invoke(main, [
+                "nms", "--gt", str(synth_dir / "annotations.json"),
+                "--dt", str(synth_dir / "detections.json"),
+                "--out", str(kept[name]), "--semantic", source,
+            ])
+            assert result.exit_code == 0, result.output
+        assert kept["dir"].read_bytes() == kept["gt"].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_semantic_source_that_is_no_directory(self, runner, synth_dir, tmp_path, kind):
+        source = tmp_path / "semantic"
+        if kind == "file":
+            source.write_text("{}")
+        result = runner.invoke(main, [
+            "nms", "--gt", str(synth_dir / "annotations.json"),
+            "--dt", str(synth_dir / "detections.json"),
+            "--out", str(tmp_path / "x.json"), "--semantic", str(source),
+        ])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: semantic mask source {source} is not a directory\n"
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("floor", ["nan", "7", "-0.5"])
     def test_conf_floor_outside_unit_interval_is_a_usage_error(self, runner, synth_dir,
                                                                tmp_path, floor):

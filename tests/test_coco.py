@@ -1,16 +1,22 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_mask
+from conftest import random_mask, sparse_scene
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hedgeval.coco import (
     DERIVE_FROM_DT,
     DERIVE_FROM_GT,
+    CategoryInfo,
     Dataset,
     Detection,
+    ImageInfo,
     LoadError,
     SemanticMaskSet,
     load_detections,
@@ -401,7 +407,7 @@ class TestSemanticMasks:
         ]
         ds = load_ground_truth(gt_file(anns, categories=[{"id": 3, "name": "c"}]))
         sem = load_semantic_masks(DERIVE_FROM_GT, ds)
-        m3 = sem[1].masks[3]
+        m3 = decode(sem[1].masks[3])
         assert m3.sum() == 8
         assert m3[0, 0] and m3[5, 5]
 
@@ -417,7 +423,7 @@ class TestSemanticMasks:
             Detection(1, 1, 0.2, encode(block(8, 8, 4, 4, 2, 2))),
         ]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets, conf_floor=0.5)
-        assert sem[1].masks[1].sum() == 4
+        assert decode(sem[1].masks[1]).sum() == 4
 
     def test_derive_from_dt_ignores_images_outside_the_dataset(self, gt_file):
         images = [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8}]
@@ -426,7 +432,7 @@ class TestSemanticMasks:
                 99: [Detection(99, 1, 0.9, encode(block(8, 8, 4, 4, 3, 3)))]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
         assert sorted(sem) == [1, 2]
-        assert sem[1].masks[1].sum() == 4
+        assert decode(sem[1].masks[1]).sum() == 4
         assert sem[2].masks == {}
 
     def test_derived_union_equals_or_of_decoded_masks(self, gt_file, rng):
@@ -435,8 +441,20 @@ class TestSemanticMasks:
         dets = {1: [Detection(1, 1 + i % 2, 0.9, encode(m)) for i, m in enumerate(masks)]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
         for c in (1, 2):
-            assert np.array_equal(sem[1].masks[c], np.logical_or.reduce(masks[c - 1::2]))
-            assert sem[1].masks[c].flags.f_contiguous
+            union = np.logical_or.reduce(masks[c - 1::2])
+            assert np.array_equal(decode(sem[1].masks[c]), union)
+            assert sem[1].masks[c].counts == encode(union).counts  # canonical runs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda h: st.integers(1, 6).flatmap(
+        lambda w: st.lists(arrays(bool, (h, w)), min_size=1, max_size=5))))
+    def test_derived_union_is_the_encoded_painted_union(self, masks):
+        # touching, nested, empty and image-end runs all merge to encode's runs
+        h, w = masks[0].shape
+        ds = Dataset({1: ImageInfo(1, h, w)}, {1: CategoryInfo(1, "a")}, {1: []})
+        dets = {1: [Detection(1, 1, 1.0, encode(m)) for m in masks]}
+        sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets)
+        assert sem[1].masks[1] == encode(np.logical_or.reduce(masks))
 
     def test_derived_union_rejects_a_mask_of_another_size(self, gt_file):
         ds = load_ground_truth(gt_file([], images=[{"id": 1, "height": 4, "width": 5}]))
@@ -456,7 +474,7 @@ class TestSemanticMasks:
         ds = load_ground_truth(gt_file([]))
         dets = {1: [Detection(1, 1, 1.0, encode(block(8, 8, 0, 0, 2, 2)))]}
         sem = load_semantic_masks(DERIVE_FROM_DT, ds, detections=dets, conf_floor=floor)
-        assert sem[1].masks[1].sum() == 4
+        assert decode(sem[1].masks[1]).sum() == 4
 
     def test_derive_from_dt_requires_detections(self, gt_file):
         ds = load_ground_truth(gt_file([]))
@@ -467,15 +485,16 @@ class TestSemanticMasks:
         images = [{"id": 1, "height": 8, "width": 8}, {"id": 2, "height": 8, "width": 8}]
         cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
         ds = load_ground_truth(gt_file([], images=images, categories=cats))
+        dense = [random_mask(rng, 8, 8), random_mask(rng, 8, 8)]
         sets = [
-            SemanticMaskSet(1, {1: random_mask(rng, 8, 8), 2: np.zeros((8, 8), dtype=bool)}),
-            SemanticMaskSet(2, {2: random_mask(rng, 8, 8)}),
+            SemanticMaskSet(1, {1: encode(dense[0]), 2: encode(np.zeros((8, 8), dtype=bool))}),
+            SemanticMaskSet(2, {2: encode(dense[1])}),
         ]
         out = tmp_path / "semantic"
         write_semantic_masks(sets, out)
         got = load_semantic_masks(out, ds)
-        assert np.array_equal(got[1].masks[1], sets[0].masks[1])
-        assert np.array_equal(got[2].masks[2], sets[1].masks[2])
+        assert np.array_equal(decode(got[1].masks[1]), dense[0])
+        assert np.array_equal(decode(got[2].masks[2]), dense[1])
         # all-zero masks are stored as absence
         assert 2 not in got[1].masks
 
@@ -492,8 +511,9 @@ class TestSemanticMasks:
         cats = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
         ds = load_ground_truth(gt_file([], images=images, categories=cats))
         out = tmp_path / "semantic"
-        write_semantic_masks([SemanticMaskSet(1, {1: random_mask(rng, 8, 8), 2: random_mask(rng, 8, 8)}),
-                              SemanticMaskSet(2, {1: random_mask(rng, 8, 8)})], out)
+        write_semantic_masks([SemanticMaskSet(1, {1: encode(random_mask(rng, 8, 8)),
+                                                  2: encode(random_mask(rng, 8, 8))}),
+                              SemanticMaskSet(2, {1: encode(random_mask(rng, 8, 8))})], out)
         assert sorted(load_semantic_masks(out, ds)[1].masks) == [1, 2]
         (out / "1" / "2.json").write_text(json.dumps({"size": [8, 8], "counts": "1!"}))
         (out / "2" / "1.json").write_text(json.dumps(seg_of(block(4, 8, 0, 0, 2, 2))))
@@ -508,6 +528,24 @@ class TestSemanticMasks:
         (tmp_path / "semantic" / "1" / "1.json").mkdir(parents=True)  # a directory, not a file
         with pytest.raises(LoadError, match=r"^semantic mask \S*semantic/1/1\.json: "):
             load_semantic_masks(tmp_path / "semantic", ds)
+
+    @pytest.mark.parametrize("source", ["directory", DERIVE_FROM_GT])
+    def test_memory_bounded_by_mask_area(self, tmp_path, source):
+        # a dozen 1024x1024 images with two categories each: one dense mask
+        # per (image, category) would need 24 * H * W bytes
+        h = w = 1024
+        ds, _ = sparse_scene(12, h)
+        if source == "directory":
+            source = tmp_path / "semantic"
+            write_semantic_masks(load_semantic_masks(DERIVE_FROM_GT, ds).values(), source)
+        tracemalloc.start()
+        try:
+            sem = load_semantic_masks(source, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(sorted(s.masks) == [1, 2] for s in sem.values())
+        assert peak < h * w
 
     def test_directory_missing_image_entry(self, tmp_path, gt_file):
         ds = load_ground_truth(gt_file([]))
@@ -588,7 +626,7 @@ class TestSchemas:
         validator_for("detections.schema.json").validate(json.loads(p.read_text()))
 
     def test_semantic_schema_accepts_writer_output(self, tmp_path, validator_for):
-        write_semantic_masks([SemanticMaskSet(1, {1: block(8, 8, 0, 0, 2, 2)})], tmp_path)
+        write_semantic_masks([SemanticMaskSet(1, {1: encode(block(8, 8, 0, 0, 2, 2))})], tmp_path)
         seg = json.loads((tmp_path / "1" / "1.json").read_text())
         validator_for("semantic_mask.schema.json").validate(seg)
 

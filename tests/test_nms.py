@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_mask
+from conftest import random_mask, sparse_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgeval.coco import Detection, SemanticMaskSet
+from hedgeval.coco import DERIVE_FROM_GT, Detection, SemanticMaskSet, load_semantic_masks
 from hedgeval.mask import MaskTable, RleMask, decode, encode, encode_box, iou, iou_matrix
 from hedgeval.nms import (
     NmsConfig,
@@ -467,7 +467,7 @@ class TestRunNms:
     def test_semantic_default_scores_stay_in_unit_range(self):
         obj = box(8, 8, 2, 2, 4, 4)
         other = box(8, 8, 0, 6, 2, 2)
-        sem = {1: SemanticMaskSet(1, {1: obj | other})}
+        sem = {1: SemanticMaskSet(1, {1: encode(obj | other)})}
         dets = {1: [det_of(obj, 1, 0.9), det_of(obj, 1, 0.85), det_of(other, 1, 0.8)]}
         out = run_nms(dets, NmsConfig(method="semantic"), sem)
         assert len(out[1]) == 2
@@ -476,7 +476,7 @@ class TestRunNms:
 
     def test_semantic_score_modes(self):
         obj = box(8, 8, 0, 0, 2, 2)
-        sem = {1: SemanticMaskSet(1, {1: box(8, 8, 0, 0, 4, 4)})}
+        sem = {1: SemanticMaskSet(1, {1: encode(box(8, 8, 0, 0, 4, 4))})}
         dets = {1: [det_of(obj, 1, 0.5)]}
         for mode, expected in (("original", 0.5), ("sum", 2.25), ("averaged", 0.75)):
             out = run_nms(dets, NmsConfig(method="semantic", score_mode=mode), sem)
@@ -484,13 +484,28 @@ class TestRunNms:
 
     def test_semantic_working_copies_repeatable(self):
         obj = box(8, 8, 2, 2, 4, 4)
-        sem = {1: SemanticMaskSet(1, {1: obj.copy()})}
+        sem = {1: SemanticMaskSet(1, {1: encode(obj)})}
         dets = {1: [det_of(obj, 1, 0.9), det_of(obj, 1, 0.8)]}
         cfg = NmsConfig(method="semantic")
         first = run_nms(dets, cfg, sem)
         second = run_nms(dets, cfg, sem)
         assert first == second
-        assert sem[1].masks[1].any()  # caller's masks untouched
+        assert np.array_equal(decode(sem[1].masks[1]), obj)  # caller's masks untouched
+
+    def test_semantic_holds_one_image_of_budgets(self):
+        # a dozen 1024x1024 images with two categories each: the whole set's
+        # dense budgets would need 24 * H * W bytes, one image's 2 * H * W
+        h = w = 1024
+        ds, dets = sparse_scene(12, h)
+        tracemalloc.start()
+        try:
+            out = run_nms(dets, NmsConfig(method="semantic"), load_semantic_masks(DERIVE_FROM_GT, ds))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for image_id, gts in ds.gts_by_image.items():  # every block kept once, its copy dropped
+            assert sorted(d.mask.counts for d in out[image_id]) == sorted(g.mask.counts for g in gts)
+        assert peak < 3 * h * w
 
     def test_empty_image_passthrough(self):
         out = run_nms({1: []}, NmsConfig(method="mask"))

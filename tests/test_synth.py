@@ -323,7 +323,9 @@ class TestGenerate:
                 assert gt.mask == RleMask(cfg.height, cfg.width, gt.mask.counts)
                 assert np.array_equal(decode(gt.mask), m)
             if visible:
-                assert np.array_equal(semantic[index + 1].masks[1], np.logical_or.reduce(visible))
+                union = np.logical_or.reduce(visible)
+                assert semantic[index + 1].masks[1].counts == encode(union).counts
+                assert np.array_equal(decode(semantic[index + 1].masks[1]), union)
             else:
                 assert semantic[index + 1].masks == {}
 
@@ -350,7 +352,7 @@ class TestGenerate:
             union = np.zeros((256, 256), dtype=bool)
             for gt in gts:
                 union |= decode(gt.mask)
-            assert np.array_equal(semantic[image_id].masks[1], union)
+            assert np.array_equal(decode(semantic[image_id].masks[1]), union)
 
     def test_written_files_reload(self, tmp_path):
         cfg = SynthConfig(n_images=3, seed=2)
@@ -361,8 +363,8 @@ class TestGenerate:
         assert reloaded.gts_by_image == ds.gts_by_image
         sem_reloaded = load_semantic_masks(tmp_path / "semantic", reloaded)
         for image_id in ds.images:
-            assert np.array_equal(sem_reloaded[image_id].masks[1],
-                                  semantic[image_id].masks[1])
+            assert np.array_equal(decode(sem_reloaded[image_id].masks[1]),
+                                  decode(semantic[image_id].masks[1]))
         with open(tmp_path / "config.json") as f:
             stored = json.load(f)
         assert stored["seed"] == 2 and stored["n_images"] == 3
