@@ -166,7 +166,8 @@ def _print_table(report, names, cfg):
 @click.option("--max-dets", default=100, show_default=True,
               help="Per-image cap for the ranked (AP/LRP) paths.")
 @click.option("--threads", default=1, show_default=True, envvar="HEDGEVAL_THREADS",
-              help="Image-parallel workers; any value gives identical results.")
+              type=click.IntRange(min=1), expose_value=False,
+              help="Accepted; evaluation runs serially whatever the value.")
 @click.option("--verify", is_flag=True,
               help="Check the reported records of a sample of images against "
                    "brute-force references; non-zero exit on divergence.")
@@ -175,16 +176,15 @@ def _print_table(report, names, cfg):
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="Write the JSON report here.")
 def cmd_eval(gt, dt, semantic, metrics, iou_thrs, dc_iou_thrs, dc_conf_thrs,
-             f1_iou_thr, lrp_iou_thr, min_score, max_dets, threads, verify,
-             seed, out):
+             f1_iou_thr, lrp_iou_thr, min_score, max_dets, verify, seed, out):
     """Evaluate detections against ground truth."""
     overrides = {k: v for k, v in (("iou_thrs", iou_thrs),
                                    ("dc_iou_thrs", dc_iou_thrs),
                                    ("dc_conf_thrs", dc_conf_thrs)) if v is not None}
     try:
         cfg = EvalConfig(f1_iou_thr=f1_iou_thr, lrp_iou_thr=lrp_iou_thr,
-                         min_score=min_score, max_dets=max_dets, threads=threads,
-                         verify=verify, verify_seed=seed, **overrides)
+                         min_score=min_score, max_dets=max_dets, verify=verify,
+                         verify_seed=seed, **overrides)
     except ValueError as e:
         raise click.BadParameter(str(e))
     dataset, dets = _load_pair(gt, dt)

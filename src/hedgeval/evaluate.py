@@ -16,10 +16,10 @@ Metric paths and their detection sets:
 - Duplicate confusion and naming error see the full unfiltered detection
   set; their own confidence grid does the thresholding.
 
-Per-image work is independent and runs on a thread pool; the reduction
-happens on the calling thread in image-id order, so results are identical
-for any worker count. It concatenates each category's records over images,
-and pools the F1 path image-major, then by category.
+One serial pass reduces each image to values (records, DC cell scores, NE
+counts); only ``--verify``'s sampled images keep their IoU blocks. The
+reduction concatenates each category's records over images, pools the F1
+path image-major, then by category, and the DC and NE values by image.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .hedging import (
     DEFAULT_DC_IOU_THRS,
     DcConfig,
     DetectionGraph,
+    _dc_result,
     check_distinct,
     dc_single,
     duplicate_confusion,
@@ -69,7 +70,6 @@ class EvalConfig:
     lrp_iou_thr: float = 0.5
     min_score: float = 0.0
     max_dets: int = 100
-    threads: int = 1
     verify: bool = False
     verify_seed: int = 0
 
@@ -86,8 +86,6 @@ class EvalConfig:
             raise ValueError("min_score must lie in [0, 1]")
         if self.max_dets < 1:
             raise ValueError("max_dets must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.verify_seed < 0:
             raise ValueError("verify_seed must be non-negative")
 
@@ -155,27 +153,22 @@ def ranked_image(gts, dets, thrs, max_dets: int):
     return table, det_gt, det_cats, gt_cats, rows
 
 
-def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs):
-    """Per image, in image-id order, everything the reduction needs: the
-    records matched per ``thrs``, the DC groups (scores and det x det IoU
-    block of each category with a detection, keyed by category in the
-    records' order) and the NE item."""
-    ids = sorted(dataset.images)
-
-    def work(image_id):
+def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs, keep=()):
+    """Yield per image, in image-id order: its records matched per ``thrs``,
+    each DC group's ``DcResult`` (keyed in the records' order), its
+    ``NeResult`` and, at the positions in ``keep`` only, the DC groups
+    (scores, det x det IoU block) and NE item (det x GT block, labels) that
+    these came from."""
+    dc_cfg = DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs)
+    for pos, image_id in enumerate(sorted(dataset.images)):
         table, det_gt, det_cats, gt_cats, rows = ranked_image(
             dataset.gts_by_image.get(image_id, []), dets_by_image.get(image_id, []),
             thrs, cfg.max_dets)
-        dc_groups = {c: (r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
-                     for c, r in rows.items() if r.scores.size}
-        return rows, dc_groups, (det_gt, det_cats.tolist(), gt_cats.tolist())
-
-    if cfg.threads == 1:
-        return [work(i) for i in ids]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(work, ids))
+        groups = {c: (r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
+                  for c, r in rows.items() if r.scores.size}
+        ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
+        yield (rows, {c: duplicate_confusion([g], dc_cfg) for c, g in groups.items()},
+               naming_error([ne_item]), (groups, ne_item) if pos in keep else None)
 
 
 def _concat(chunks, dtype=np.float64) -> np.ndarray:
@@ -199,7 +192,11 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     """
     cfg = cfg or EvalConfig()
     thrs = dict.fromkeys((*cfg.iou_thrs, cfg.lrp_iou_thr, cfg.f1_iou_thr))
-    slices = compute_slices(dataset, dets_by_image, cfg, thrs)
+    rng, picks = None, []
+    if cfg.verify:  # the sample is the RNG's first draw, known before the pass
+        rng, n = np.random.default_rng(cfg.verify_seed), len(dataset.images)
+        picks = sorted(rng.choice(n, size=min(n, max(1, round(0.01 * n))), replace=False).tolist())
+    slices = list(compute_slices(dataset, dets_by_image, cfg, thrs, set(picks)))
     cats = sorted(dataset.categories)
     pooled = {c: pool_rows([r[c] for r, *_ in slices if c in r], thrs) for c in cats}
     ranked = {c: rows.ranked() for c, rows in pooled.items()}
@@ -231,9 +228,12 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     bins = np.linspace(0.0, 1.0, 11)
     ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc_res = duplicate_confusion([g for _, groups, _ in slices for g in groups.values()],
-                                 DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
-    ne_res = naming_error([ne for *_, ne in slices])
+    dc = [r for _, by_cat, *_ in slices for r in by_cat.values()]
+    dc_res = _dc_result([[[r.grid[ti][vi] for r in dc if r.cells[ti][vi]]
+                          for vi in range(len(cfg.dc_conf_thrs))]
+                         for ti in range(len(cfg.dc_iou_thrs))])
+    ne_mismatches = sum(ne.mismatches for _, _, ne, _ in slices)
+    n_gt = sum(ne.n_gt for _, _, ne, _ in slices)
 
     metrics = {
         "map": mean_ap([ap[c][t] for c in cats for t in cfg.iou_thrs]),
@@ -246,9 +246,9 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
         "dc": dc_res.dc,
         "dc_grid": dc_res.grid,
         "dc_cells": dc_res.cells,
-        "ne": ne_res.ne,
-        "ne_mismatch_count": ne_res.mismatches,
-        "n_gt": ne_res.n_gt,
+        "ne": ne_mismatches / n_gt if n_gt else None,
+        "ne_mismatch_count": ne_mismatches,
+        "n_gt": n_gt,
         "lrp": mean_ap(r.lrp for r in lrp_by_cat.values()),
         "lrp_loc": mean_ap(r.lrp_loc for r in lrp_by_cat.values()),
         "lrp_fp": mean_ap(r.lrp_fp for r in lrp_by_cat.values()),
@@ -256,7 +256,7 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
         "olrp": mean_ap(olrp_by_cat.values()),
         "fp_tp_curve": {f"{b:.2f}": r for b, r in zip(bins, ratios)},
     }
-    verify = _verify(dataset, dets_by_image, slices, curves, cfg) if cfg.verify else None
+    verify = _verify(dataset, dets_by_image, slices, picks, rng, curves, cfg) if cfg.verify else None
     return metrics, verify
 
 
@@ -264,26 +264,25 @@ def _dense_iou(rows, cols) -> np.ndarray:
     return np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
 
 
-def _verify(dataset: Dataset, dets_by_image, slices, curves, cfg: EvalConfig) -> dict:
-    """Check what ``evaluate`` reported for a deterministic sample of images
-    against the brute-force references, the decoded masks and the input
-    detections' own scores. Nothing is rebuilt through the production path.
+def _verify(dataset: Dataset, dets_by_image, slices, picks, rng, curves, cfg: EvalConfig) -> dict:
+    """Check what ``evaluate`` reported for the image positions ``picks``
+    (drawn by ``rng``) against the brute-force references, the decoded
+    masks and the input detections' own scores. Nothing is rebuilt.
 
     Per sampled image, its ``compute_slices`` entry: each record's scores,
     ``max_dets`` marks (the image's top detections by score, ties in file
     order) and greedy match (TP flags and matched IoUs at the first AP IoU
     threshold, ``lrp_iou_thr`` and ``f1_iou_thr``); the det x GT block and
     each category's DC det x det block against ``iou``, entry for entry;
-    and duplicate confusion on small graphs read from those DC blocks (the
-    whole graph and each confidence floor of ``cfg.dc_conf_thrs``). Then the
-    101-point AP of every category at the first IoU threshold.
+    the naming-error counts; and duplicate confusion on small graphs read
+    from those DC blocks (the whole graph and each confidence floor of
+    ``cfg.dc_conf_thrs``). Then the 101-point AP of every category at the
+    first IoU threshold.
     """
-    from .oracles import ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce
+    from .oracles import (ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce,
+                          naming_error_bruteforce)
 
-    rng = np.random.default_rng(cfg.verify_seed)
     ids = sorted(dataset.images)
-    k = min(len(ids), max(1, round(0.01 * len(ids))))
-    picks = sorted(rng.choice(len(ids), size=k, replace=False).tolist())
     ok = True
     matches_checked = graphs_checked = 0
 
@@ -291,7 +290,7 @@ def _verify(dataset: Dataset, dets_by_image, slices, curves, cfg: EvalConfig) ->
     match_thrs = dict.fromkeys((t0, cfg.lrp_iou_thr, cfg.f1_iou_thr))
     dc_t, dc_v = cfg.dc_iou_thrs[0], cfg.dc_conf_thrs[0]
     for i in picks:
-        rows, dc_groups, (det_gt, *labels) = slices[i]
+        rows, _, ne, (dc_groups, (det_gt, *labels)) = slices[i]
         gts, dets = dataset.gts_by_image.get(ids[i], []), dets_by_image.get(ids[i], [])
         det_masks, gt_masks = [decode(d.mask) for d in dets], [decode(g.mask) for g in gts]
         det_cats, gt_cats = [d.category_id for d in dets], [g.category_id for g in gts]
@@ -301,7 +300,9 @@ def _verify(dataset: Dataset, dets_by_image, slices, curves, cfg: EvalConfig) ->
         cats = sorted(set(det_cats) | set(gt_cats))
         if (labels != [det_cats, gt_cats] or list(rows) != cats
                 or list(dc_groups) != [c for c in cats if c in det_cats]
-                or not np.array_equal(det_gt, _dense_iou(det_masks, gt_masks))):
+                or not np.array_equal(det_gt, _dense_iou(det_masks, gt_masks))
+                or (ne.mismatches, ne.n_gt) != (
+                    naming_error_bruteforce(det_masks, det_cats, gt_masks, gt_cats), len(gts))):
             ok = False
         for cat, rec in rows.items():
             d = [j for j, c in enumerate(det_cats) if c == cat]

@@ -218,7 +218,13 @@ def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
                 if k not in by_kept:
                     by_kept[k] = 0.0 if edgeless or k == 1 else dc_single(g, v)
                 values[ti][vi].append(by_kept[k])
-    grid = [[float(np.mean(vals)) if vals else 0.0 for vals in row] for row in values]
+    return _dc_result(values)
+
+
+def _dc_result(values) -> DcResult:
+    """Pool each cell's per-group scores ``values[ti][vi]``; one score is its own mean."""
+    grid = [[float(np.mean(v)) if len(v) > 1 else v[0] if v else 0.0 for v in row]
+            for row in values]
     cells = [[len(vals) for vals in row] for row in values]
     dc = float(np.mean([v for row in grid for v in row]))
     return DcResult(dc=dc, grid=grid, cells=cells)

@@ -127,6 +127,28 @@ def match_bruteforce(det_masks, det_scores, gt_masks, iou_thr: float) -> MatchRe
     return MatchResult(det_to_gt, det_iou, gt_to_det)
 
 
+def naming_error_bruteforce(det_masks, det_labels, gt_masks, gt_labels) -> int:
+    """Wrong-label detections of one image, by the naming-error definition.
+
+    Ignoring categories and confidences, each detection takes the first
+    ground truth of highest IoU, by per-pair pixel counting; it is a naming
+    error when that IoU reaches 0.5 and the two labels differ. Many
+    detections may take the same ground truth.
+    """
+    mismatches = 0
+    for d, label in zip(det_masks, det_labels):
+        best_gt, best_iou = None, 0.0
+        for gi, g in enumerate(gt_masks):
+            inter = int(np.count_nonzero(d & g))
+            union = int(np.count_nonzero(d | g))
+            v = inter / union if union else 0.0
+            if best_gt is None or v > best_iou:
+                best_gt, best_iou = gi, v
+        if best_gt is not None and best_iou >= 0.5 and gt_labels[best_gt] != label:
+            mismatches += 1
+    return mismatches
+
+
 def mask_nms_bruteforce(masks, scores, categories, iou_thr: float = 0.5) -> list[int]:
     """Greedy mask NMS over dense masks; kept indices in ingestion order.
 

@@ -1,6 +1,7 @@
 """Command-line interface, exercised through CliRunner against real files."""
 
 import csv
+import dataclasses
 import io
 import importlib
 import json
@@ -176,6 +177,35 @@ class TestEvalCommand:
             "--dt", str(synth_dir / "detections.json"),
         ], env={"HEDGEVAL_THREADS": "3"})
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("args, env", [(["--threads", "0"], {}),
+                                           ([], {"HEDGEVAL_THREADS": "0"})],
+                             ids=["option", "env"])
+    def test_threads_must_be_positive(self, runner, synth_dir, args, env):
+        result = runner.invoke(main, [
+            "eval", "--gt", str(synth_dir / "annotations.json"),
+            "--dt", str(synth_dir / "detections.json"), *args,
+        ], env=env)
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+
+    def test_verify_checks_each_sampled_images_naming_error(self, runner, synth_dir,
+                                                            monkeypatch):
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+        args = ["eval", "--gt", str(synth_dir / "annotations.json"),
+                "--dt", str(synth_dir / "detections.json"), "--verify"]
+        clean = runner.invoke(main, args)
+        right = evaluate_mod.naming_error
+
+        def one_more_mismatch(items):  # per image: that image's count is one off
+            res = right(items)
+            return dataclasses.replace(res, mismatches=res.mismatches + 1)
+
+        monkeypatch.setattr(evaluate_mod, "naming_error", one_more_mismatch)
+        broken = runner.invoke(main, args)
+        assert clean.exit_code == 0 and broken.exit_code == 1
+        counts = clean.output.split("verify: ok ")[1]
+        assert f"verify: FAILED {counts}" in broken.output
 
     def test_summary_names_rejected_detections(self, runner, synth_dir, tmp_path):
         gt = str(synth_dir / "annotations.json")
@@ -443,7 +473,8 @@ class TestBenchCommand:
             "bench-nms", "--sizes", "40,80", "--repeats", "2", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert [(r["n"], r["method"]) for r in rows] == [
             ("40", "mask"), ("40", "semantic"), ("80", "mask"), ("80", "semantic")]
         assert all(float(r["seconds"]) > 0 for r in rows)
@@ -498,6 +529,21 @@ class TestImports:
         lines = out.stdout.splitlines()
         assert [line.split()[0] for line in lines[:-1]] == ["mask", "matrix", "soft"]
         assert lines[-1] == "False"
+
+    def test_eval_without_verify_never_loads_numpy_random(self, synth_dir):
+        # numpy 2 loads numpy.random on first use (9-13 ms per process on
+        # numpy 2.4); only --verify draws a sample
+        import hedgeval
+
+        src = str(Path(hedgeval.__file__).resolve().parent.parent)
+        code = ("import sys; from hedgeval.cli import main\n"
+                "main(['eval', '--gt', sys.argv[1], '--dt', sys.argv[2]], standalone_mode=False)\n"
+                "print('numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(synth_dir / "annotations.json"),
+                              str(synth_dir / "detections.json")],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_package_still_exports_the_generator(self):
         from hedgeval import SynthConfig, generate, perfect_detector

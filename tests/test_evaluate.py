@@ -52,7 +52,6 @@ class TestEvalConfig:
         {"dc_conf_thrs": (0.5, 1.5)},
         {"min_score": -0.1},
         {"max_dets": 0},
-        {"threads": 0},
         {"verify_seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -93,13 +92,6 @@ class TestPerfectAndHedged:
         # cutoff sits above them and recovers the perfect prefix
         assert metrics["lrp"] > 0.0
         assert metrics["olrp"] == 0.0
-
-    def test_threads_do_not_change_results(self, synth):
-        dets = perfect_detector(synth, spatial_copies=3)
-        m1, v1 = evaluate(synth, dets, EvalConfig(threads=1, verify=True))
-        m4, v4 = evaluate(synth, dets, EvalConfig(threads=4, verify=True))
-        assert json.dumps(m1, sort_keys=True) == json.dumps(m4, sort_keys=True)
-        assert v1 == v4 and v1["ok"]
 
     def test_verify_exercises_all_oracles(self, synth):
         _, verify = evaluate(synth, perfect_detector(synth, spatial_copies=2),
@@ -192,14 +184,51 @@ class TestPerfectAndHedged:
     def test_verify_checks_the_dc_blocks(self, synth, monkeypatch):
         def one_entry_off(compute_slices):
             def corrupted(*args):
-                slices = compute_slices(*args)
-                for _, dc_groups, _ in slices:
-                    for _, block in dc_groups.values():  # one ulp up: crosses no threshold
-                        block[0, -1] = np.nextafter(block[0, -1], 2.0)
+                slices = list(compute_slices(*args))
+                for *_, kept in slices:  # the sampled images' blocks
+                    for _, block in (kept[0].values() if kept else ()):
+                        block[0, -1] = np.nextafter(block[0, -1], 2.0)  # crosses no threshold
                 return slices
             return corrupted
 
         self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_entry_off)
+
+    def test_only_the_sampled_images_keep_their_blocks(self, synth, monkeypatch):
+        # every other image leaves the pass as reduced values: no det x det
+        # or det x GT block outlives it
+        evaluate_mod = importlib.import_module("hedgeval.evaluate")
+        outputs = []
+
+        def recorded(compute_slices):
+            def wrapper(*args):
+                outputs.append(list(compute_slices(*args)))
+                return outputs[-1]
+            return wrapper
+
+        monkeypatch.setattr(evaluate_mod, "compute_slices", recorded(evaluate_mod.compute_slices))
+        dets = perfect_detector(synth, spatial_copies=2)
+        evaluate(synth, dets)
+        _, verify = evaluate(synth, dets, EvalConfig(verify=True))
+        holding = [[any(a.ndim == 2 for a in _arrays(entry)) for entry in out] for out in outputs]
+        assert len(holding[0]) == len(synth.images)
+        assert sum(holding[0]) == 0
+        assert sum(holding[1]) == verify["images_checked"] == 1
+
+
+def _arrays(value):
+    """Every numpy array inside ``value``: through dicts, sequences and
+    dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
 
 
 class TestPerCategory:

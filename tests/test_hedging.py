@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,13 @@ from hedgeval.hedging import (
     duplicate_confusion,
     naming_error,
 )
-from hedgeval.oracles import bottleneck_bruteforce, dc_bruteforce, induced_subgraph
+from hedgeval.mask import iou_matrix
+from hedgeval.oracles import (
+    bottleneck_bruteforce,
+    dc_bruteforce,
+    induced_subgraph,
+    naming_error_bruteforce,
+)
 
 
 def graph(taus, edges):
@@ -329,3 +336,25 @@ class TestNamingError:
         res = naming_error([(ious, labels, labels)])
         assert res.ne == 0.0
         assert res.n_gt == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_det=st.integers(0, 6), n_gt=st.integers(0, 5))
+    def test_matches_dense_bruteforce(self, seed, n_det, n_gt):
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(1, 8, size=2))
+        gts = [random_mask(rng, h, w, rng.choice([0.0, 0.2, 0.5, 0.9])) for _ in range(n_gt)]
+        dets = [random_mask(rng, h, w, rng.choice([0.0, 0.2, 0.5, 0.9])) for _ in range(n_det)]
+        if gts and n_det > 1 and h * w > 1:  # IoU exactly 0.5 against the first ground truth
+            gts[0] = np.zeros((h, w), dtype=bool)
+            gts[0].flat[:2] = True
+            dets[-1] = np.zeros((h, w), dtype=bool)
+            dets[-1].flat[:1] = True
+        if n_gt > 1:
+            gts[-1] = gts[0]  # tied IoUs: the first ground truth wins
+        if gts and dets:
+            dets[0] = gts[-1]  # IoU 1
+        det_labels = rng.integers(1, 3, size=n_det).tolist()
+        gt_labels = rng.integers(1, 3, size=n_gt).tolist()
+        res = naming_error([(iou_matrix(dets, gts), det_labels, gt_labels)])
+        assert res.mismatches == naming_error_bruteforce(dets, det_labels, gts, gt_labels)
+        assert res.n_gt == n_gt
