@@ -37,6 +37,7 @@ from .hedging import (
     DcConfig,
     DetectionGraph,
     _dc_result,
+    _ne_result,
     check_distinct,
     dc_single,
     duplicate_confusion,
@@ -155,10 +156,9 @@ def ranked_image(gts, dets, thrs, max_dets: int):
 
 def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs, keep=()):
     """Yield per image, in image-id order: its records matched per ``thrs``,
-    each DC group's ``DcResult`` (keyed in the records' order), its
-    ``NeResult`` and, at the positions in ``keep`` only, the DC groups
-    (scores, det x det IoU block) and NE item (det x GT block, labels) that
-    these came from."""
+    each DC group's ``DcResult`` (in the records' order), its ``NeResult``
+    and, at the positions in ``keep`` only, the DC groups (scores, det x det
+    IoU block) and NE item (det x GT block, labels) that these came from."""
     dc_cfg = DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs)
     for pos, image_id in enumerate(sorted(dataset.images)):
         table, det_gt, det_cats, gt_cats, rows = ranked_image(
@@ -167,7 +167,7 @@ def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs, keep=
         groups = {c: (r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
                   for c, r in rows.items() if r.scores.size}
         ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
-        yield (rows, {c: duplicate_confusion([g], dc_cfg) for c, g in groups.items()},
+        yield (rows, [duplicate_confusion([g], dc_cfg) for g in groups.values()],
                naming_error([ne_item]), (groups, ne_item) if pos in keep else None)
 
 
@@ -228,12 +228,12 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     bins = np.linspace(0.0, 1.0, 11)
     ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc = [r for _, by_cat, *_ in slices for r in by_cat.values()]
+    dc = [r for _, results, *_ in slices for r in results]
     dc_res = _dc_result([[[r.grid[ti][vi] for r in dc if r.cells[ti][vi]]
                           for vi in range(len(cfg.dc_conf_thrs))]
                          for ti in range(len(cfg.dc_iou_thrs))])
-    ne_mismatches = sum(ne.mismatches for _, _, ne, _ in slices)
-    n_gt = sum(ne.n_gt for _, _, ne, _ in slices)
+    ne_res = _ne_result(sum(ne.mismatches for _, _, ne, _ in slices),
+                        sum(ne.n_gt for _, _, ne, _ in slices))
 
     metrics = {
         "map": mean_ap([ap[c][t] for c in cats for t in cfg.iou_thrs]),
@@ -246,9 +246,9 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
         "dc": dc_res.dc,
         "dc_grid": dc_res.grid,
         "dc_cells": dc_res.cells,
-        "ne": ne_mismatches / n_gt if n_gt else None,
-        "ne_mismatch_count": ne_mismatches,
-        "n_gt": n_gt,
+        "ne": ne_res.ne,
+        "ne_mismatch_count": ne_res.mismatches,
+        "n_gt": ne_res.n_gt,
         "lrp": mean_ap(r.lrp for r in lrp_by_cat.values()),
         "lrp_loc": mean_ap(r.lrp_loc for r in lrp_by_cat.values()),
         "lrp_fp": mean_ap(r.lrp_fp for r in lrp_by_cat.values()),

@@ -225,9 +225,8 @@ def _dc_result(values) -> DcResult:
     """Pool each cell's per-group scores ``values[ti][vi]``; one score is its own mean."""
     grid = [[float(np.mean(v)) if len(v) > 1 else v[0] if v else 0.0 for v in row]
             for row in values]
-    cells = [[len(vals) for vals in row] for row in values]
-    dc = float(np.mean([v for row in grid for v in row]))
-    return DcResult(dc=dc, grid=grid, cells=cells)
+    cells = [list(map(len, row)) for row in values]
+    return DcResult(dc=float(np.mean(grid)), grid=grid, cells=cells)
 
 
 @dataclass
@@ -252,8 +251,9 @@ def naming_error(image_items) -> NeResult:
         for j, gi in enumerate(assignment):
             if gi is not None and det_labels[j] != gt_labels[gi]:
                 mismatches += 1
-    return NeResult(
-        ne=mismatches / n_gt if n_gt else None,
-        mismatches=mismatches,
-        n_gt=n_gt,
-    )
+    return _ne_result(mismatches, n_gt)
+
+
+def _ne_result(mismatches: int, n_gt: int) -> NeResult:
+    """Naming error from wrong-label and ground-truth counts summed over images."""
+    return NeResult(ne=mismatches / n_gt if n_gt else None, mismatches=mismatches, n_gt=n_gt)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coco import Detection, SemanticMaskSet
-from .mask import MaskTable, decode, table_iou, table_pairwise_iou
+from .mask import MaskTable, decode, table_pairwise_iou
 from .matching import confidence_order
 
 METHODS = ("mask", "matrix", "soft", "semantic")
@@ -60,19 +60,13 @@ class NmsConfig:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
-def _ranked(scores, categories):
+def _ranked_ious(table: MaskTable, scores, categories):
     """Per category, its detection indices by descending score (ties keep
-    ingestion order)."""
+    ingestion order) and their IoU matrix in that order."""
     scores, categories = np.asarray(scores, dtype=np.float64), np.asarray(categories)
     for c in sorted(set(categories.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(categories == c)
-        yield idx[confidence_order(scores[idx])]
-
-
-def _ranked_ious(table: MaskTable, scores, categories):
-    """Per category, its ``_ranked`` indices and their IoU matrix in that
-    order."""
-    for ranked in _ranked(scores, categories):
+        ranked = idx[confidence_order(scores[idx])]
         yield ranked, table_pairwise_iou(table.take(ranked))
 
 
@@ -81,23 +75,15 @@ def mask_nms(table: MaskTable, scores, categories, iou_thr: float = 0.5) -> list
 
     A detection survives iff its IoU with every already-kept detection of
     the same category stays below ``iou_thr`` or is 0: a pair that shares no
-    pixel never suppresses. Only (kept, candidate) pairs are counted: each
-    kept detection, in rank order, against the still-alive later ones whose
-    boxes overlap its own. Spec: ``oracles.mask_nms_bruteforce``.
+    pixel never suppresses. Spec: ``oracles.mask_nms_bruteforce``.
     """
     kept: list[int] = []
-    for ranked in _ranked(scores, categories):
-        boxes, alive = table.boxes[ranked], np.ones(len(ranked), dtype=bool)
+    for ranked, ious in _ranked_ious(table, scores, categories):
+        suppresses = (ious >= iou_thr) & (ious > 0)
+        alive = np.ones(len(ranked), dtype=bool)
         for k in range(len(ranked)):
-            if not alive[k]:
-                continue
-            rest = boxes[k + 1:]  # a box overlaps when max (r0, c0) < min (r1, c1)
-            overlap = (np.maximum(rest[:, 0::2], boxes[k, 0::2])
-                       < np.minimum(rest[:, 1::2], boxes[k, 1::2])).all(axis=1)
-            later = k + 1 + np.flatnonzero(alive[k + 1:] & overlap)
-            if later.size:
-                ious = table_iou(table.take(ranked[k:k + 1]), table.take(ranked[later]))[0]
-                alive[later[(ious >= iou_thr) & (ious > 0)]] = False
+            if alive[k]:  # kept: it suppresses what it overlaps below it
+                alive[k + 1:] &= ~suppresses[k, k + 1:]
         kept.extend(ranked[alive].tolist())
     return sorted(kept)
 

@@ -7,7 +7,6 @@ from conftest import random_mask, sparse_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hedgeval.mask as mask_mod
 from hedgeval.coco import DERIVE_FROM_GT, Detection, SemanticMaskSet, load_semantic_masks
 from hedgeval.mask import MaskTable, RleMask, decode, encode, encode_box, iou, iou_matrix
 from hedgeval.nms import (
@@ -96,23 +95,6 @@ class TestMaskNms:
         b = box(8, 8, 0, 2, 4, 4)  # IoU 1/3
         assert mask_nms(_table([a, b]), [0.9, 0.8], [1, 1], 0.5) == [0, 1]
         assert mask_nms(_table([a, b]), [0.9, 0.8], [1, 1], 0.3) == [0]
-
-    @pytest.mark.parametrize("k", [3, 12])
-    def test_counts_only_kept_candidate_pairs(self, monkeypatch, k):
-        # the first copy suppresses every other one, so only its k - 1
-        # windows are counted, not every pair's k(k - 1)/2
-        counted = []
-        right = mask_mod._intersections
-
-        def counting(a, b, upper=False):
-            inter = right(a, b, upper)
-            counted.append(int(np.count_nonzero(inter)))  # copies: every window is non-empty
-            return inter
-
-        monkeypatch.setattr(mask_mod, "_intersections", counting)
-        m = box(16, 16, 3, 4, 6, 5)
-        assert mask_nms(_table([m] * k), np.linspace(0.9, 0.1, k), [1] * k, 0.5) == [0]
-        assert sum(counted) == k - 1
 
     def test_matches_greedy_over_pairwise_iou(self, rng):
         # thresholds taken from the IoUs themselves, so ties with the
