@@ -23,7 +23,7 @@ from hedgeval.coco import (
     write_report,
 )
 from hedgeval.evaluate import EvalConfig, build_report, evaluate
-from hedgeval.hedging import DcConfig, duplicate_confusion, naming_error
+from hedgeval.hedging import DcConfig, dc_cell_scores, duplicate_confusion, naming_error
 from hedgeval.lrp import lrp, olrp
 from hedgeval.mask import RleMask, decode, encode, iou, iou_matrix
 from hedgeval.nms import NmsConfig, run_nms
@@ -57,6 +57,7 @@ __all__ = [
     "average_precision",
     "build_pr_curve",
     "build_report",
+    "dc_cell_scores",
     "decode",
     "duplicate_confusion",
     "encode",

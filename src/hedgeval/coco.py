@@ -10,8 +10,9 @@ Rejected detection records are counted rather than silently dropped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def _number(value, name: str) -> float:
 def _check_segmentation(seg, height: int, width: int):
     """Check a segmentation's fields without decoding it. Returns the counts
     string of compressed RLE, the run lengths of raw-counts RLE as a tuple,
-    or the polygon list."""
+    or the polygon list, whose coordinates are finite numbers."""
     if isinstance(seg, dict):
         _require(seg, ("size", "counts"), "segmentation object")
         if not isinstance(seg["size"], list) or len(seg["size"]) != 2:
@@ -139,6 +140,9 @@ def _check_segmentation(seg, height: int, width: int):
     if isinstance(seg, list):
         if not seg or not all(isinstance(p, list) for p in seg):
             raise LoadError("polygon segmentation must be a non-empty list of coordinate lists")
+        for c in chain.from_iterable(seg):
+            if not math.isfinite(_number(c, "segmentation")):
+                raise LoadError(f"field 'segmentation' must hold finite coordinates, got {c!r}")
         return seg
     raise LoadError(f"unsupported segmentation of type {type(seg).__name__}")
 

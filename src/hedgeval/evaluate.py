@@ -39,8 +39,8 @@ from .hedging import (
     _dc_result,
     _ne_result,
     check_distinct,
+    dc_cell_scores,
     dc_single,
-    duplicate_confusion,
     naming_error,
 )
 from .lrp import lrp_from_matching, olrp_scan
@@ -156,7 +156,7 @@ def ranked_image(gts, dets, thrs, max_dets: int):
 
 def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs, keep=()):
     """Yield per image, in image-id order: its records matched per ``thrs``,
-    each DC group's ``DcResult`` (in the records' order), its ``NeResult``
+    each DC group's ``dc_cell_scores`` (in the records' order), its ``NeResult``
     and, at the positions in ``keep`` only, the DC groups (scores, det x det
     IoU block) and NE item (det x GT block, labels) that these came from."""
     dc_cfg = DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs)
@@ -167,7 +167,7 @@ def compute_slices(dataset: Dataset, dets_by_image, cfg: EvalConfig, thrs, keep=
         groups = {c: (r.scores, table_pairwise_iou(table.take(np.flatnonzero(det_cats == c))))
                   for c, r in rows.items() if r.scores.size}
         ne_item = (det_gt, det_cats.tolist(), gt_cats.tolist())
-        yield (rows, [duplicate_confusion([g], dc_cfg) for g in groups.values()],
+        yield (rows, [dc_cell_scores(*g, dc_cfg) for g in groups.values()],
                naming_error([ne_item]), (groups, ne_item) if pos in keep else None)
 
 
@@ -228,10 +228,8 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     bins = np.linspace(0.0, 1.0, 11)
     ratios = fp_tp_ratio_curve(curve, bins)
 
-    dc = [r for _, results, *_ in slices for r in results]
-    dc_res = _dc_result([[[r.grid[ti][vi] for r in dc if r.cells[ti][vi]]
-                          for vi in range(len(cfg.dc_conf_thrs))]
-                         for ti in range(len(cfg.dc_iou_thrs))])
+    dc_res = _dc_result([g for _, grids, *_ in slices for g in grids],
+                        DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
     ne_res = _ne_result(sum(ne.mismatches for _, _, ne, _ in slices),
                         sum(ne.n_gt for _, _, ne, _ in slices))
 
@@ -274,10 +272,13 @@ def _verify(dataset: Dataset, dets_by_image, slices, picks, rng, curves, cfg: Ev
     order) and greedy match (TP flags and matched IoUs at the first AP IoU
     threshold, ``lrp_iou_thr`` and ``f1_iou_thr``); the det x GT block and
     each category's DC det x det block against ``iou``, entry for entry;
-    the naming-error counts; and duplicate confusion on small graphs read
+    the naming-error counts; duplicate confusion on small graphs read
     from those DC blocks (the whole graph and each confidence floor of
-    ``cfg.dc_conf_thrs``). Then the 101-point AP of every category at the
-    first IoU threshold.
+    ``cfg.dc_conf_thrs``); and each group's reported DC cells at the first
+    DC IoU threshold, by path enumeration where the floor keeps at most
+    ``VERIFY_MAX_GRAPH`` detections, else by ``dc_single`` on the whole
+    block's graph. Then the 101-point AP of every category at the first
+    IoU threshold.
     """
     from .oracles import (ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce,
                           naming_error_bruteforce)
@@ -290,7 +291,8 @@ def _verify(dataset: Dataset, dets_by_image, slices, picks, rng, curves, cfg: Ev
     match_thrs = dict.fromkeys((t0, cfg.lrp_iou_thr, cfg.f1_iou_thr))
     dc_t, dc_v = cfg.dc_iou_thrs[0], cfg.dc_conf_thrs[0]
     for i in picks:
-        rows, _, ne, (dc_groups, (det_gt, *labels)) = slices[i]
+        rows, grids, ne, (dc_groups, (det_gt, *labels)) = slices[i]
+        dc_cells = dict(zip(dc_groups, grids))
         gts, dets = dataset.gts_by_image.get(ids[i], []), dets_by_image.get(ids[i], [])
         det_masks, gt_masks = [decode(d.mask) for d in dets], [decode(g.mask) for g in gts]
         det_cats, gt_cats = [d.category_id for d in dets], [g.category_id for g in gts]
@@ -322,6 +324,17 @@ def _verify(dataset: Dataset, dets_by_image, slices, picks, rng, curves, cfg: Ev
             dc_scores, block = dc_groups[cat]
             if not (np.array_equal(dc_scores, s) and np.array_equal(block, _dense_iou(dm, dm))):
                 ok = False
+            whole = DetectionGraph.from_ious(s, block, dc_t)
+            for v, got in zip(cfg.dc_conf_thrs, dc_cells[cat][0]):  # the cells eval pooled
+                n = np.count_nonzero(s >= v)
+                if not n:
+                    if got is not None:
+                        ok = False
+                    continue
+                want = (dc_bruteforce(induced_subgraph(whole, v)) if n <= VERIFY_MAX_GRAPH
+                        else dc_single(whole, v))
+                if got is None or abs(got - want) > VERIFY_TOL:
+                    ok = False
             keep = np.flatnonzero(s >= dc_v)
             if keep.size > VERIFY_MAX_GRAPH:
                 # induced subgraph keeps path enumeration feasible while

@@ -187,44 +187,48 @@ class DcResult:
     cells: list[list[int]]
 
 
+def dc_cell_scores(scores, ious, cfg: DcConfig) -> list[list[float | None]]:
+    """One group's DC in each grid cell ``[ti][vi]``, None where the floor keeps none.
+
+    The floors of one IoU threshold's graph keep nested sets of detections,
+    so how many they keep names the set, and ``dc_single`` runs once per
+    distinct set; the result is bit-equal to one call per floor. If floors
+    v < v' keep the same set, no connectivity among the kept detections
+    lies in [v, v'): a connectivity is always some vertex's tau, and that
+    vertex would be kept at v but not at v'. So both floors zero the same
+    entries and sum the identical array. A graph with no edge, or a floor
+    that keeps one detection, scores 0.0 without numpy.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    kept = [int(np.count_nonzero(scores >= v)) for v in cfg.conf_thrs]
+    grid = []
+    for t in cfg.iou_thrs:
+        g = DetectionGraph.from_ious(scores, ious, t)  # one spanning forest per t
+        edgeless = not g.adjacency.any()
+        by_kept: dict[int, float | None] = {0: None, 1: 0.0}  # detections kept -> score
+        for v, k in zip(cfg.conf_thrs, kept):
+            if k not in by_kept:
+                by_kept[k] = 0.0 if edgeless else dc_single(g, v)
+        grid.append([by_kept[k] for k in kept])
+    return grid
+
+
 def duplicate_confusion(groups, cfg: DcConfig | None = None) -> DcResult:
     """Aggregate duplicate confusion over (image, category) groups.
 
     ``groups`` is an iterable of (confidences, pair_ious) pairs, one per
     (image, category) cell with at least one detection; ``pair_ious`` is the
     full pairwise IoU matrix of that cell's detection masks.
-
-    The floors of one (group, IoU threshold) graph keep nested sets of
-    detections, so how many they keep names the set, and ``dc_single`` runs
-    once per distinct set; the result is bit-equal to one call per floor.
-    If floors v < v' keep the same set, no connectivity among the kept
-    detections lies in [v, v'): a connectivity is always some vertex's
-    tau, and that vertex would be kept at v but not at v'. So both floors
-    zero the same entries and sum the identical array. A graph with no
-    edge, or a floor that keeps one detection, scores 0.0 without numpy.
     """
     cfg = cfg or DcConfig()
-    values = [[[] for _ in cfg.conf_thrs] for _ in cfg.iou_thrs]
-    for scores, ious in groups:
-        scores = np.asarray(scores, dtype=np.float64)
-        kept = [int(np.count_nonzero(scores >= v)) for v in cfg.conf_thrs]
-        for ti, t in enumerate(cfg.iou_thrs):
-            g = DetectionGraph.from_ious(scores, ious, t)  # one spanning forest per t
-            edgeless = not g.adjacency.any()
-            by_kept: dict[int, float] = {}  # detections kept -> score
-            for vi, (v, k) in enumerate(zip(cfg.conf_thrs, kept)):
-                if not k:
-                    continue
-                if k not in by_kept:
-                    by_kept[k] = 0.0 if edgeless or k == 1 else dc_single(g, v)
-                values[ti][vi].append(by_kept[k])
-    return _dc_result(values)
+    return _dc_result([dc_cell_scores(scores, ious, cfg) for scores, ious in groups], cfg)
 
 
-def _dc_result(values) -> DcResult:
-    """Pool each cell's per-group scores ``values[ti][vi]``; one score is its own mean."""
-    grid = [[float(np.mean(v)) if len(v) > 1 else v[0] if v else 0.0 for v in row]
-            for row in values]
+def _dc_result(per_group, cfg: DcConfig) -> DcResult:
+    """Pool ``dc_cell_scores`` grids in order: each cell's mean over its scores."""
+    values = [[[x for g in per_group if (x := g[ti][vi]) is not None]
+               for vi in range(len(cfg.conf_thrs))] for ti in range(len(cfg.iou_thrs))]
+    grid = [[float(np.mean(v)) if v else 0.0 for v in row] for row in values]
     cells = [list(map(len, row)) for row in values]
     return DcResult(dc=float(np.mean(grid)), grid=grid, cells=cells)
 

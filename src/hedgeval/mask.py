@@ -505,12 +505,6 @@ def iou_matrix(masks_a, masks_b) -> np.ndarray:
                      MaskTable.from_rles(map(encode, masks_b)))
 
 
-def pairwise_iou(masks) -> np.ndarray:
-    """Symmetric IoU matrix of one sequence of dense masks against itself:
-    ``table_pairwise_iou`` of the table of their encoded runs."""
-    return table_pairwise_iou(MaskTable.from_rles(map(encode, masks)))
-
-
 def rasterize_polygon(vertices, height: int, width: int) -> np.ndarray:
     """Scanline-fill a polygon with the even-odd rule.
 

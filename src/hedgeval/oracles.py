@@ -131,16 +131,19 @@ def naming_error_bruteforce(det_masks, det_labels, gt_masks, gt_labels) -> int:
     """Wrong-label detections of one image, by the naming-error definition.
 
     Ignoring categories and confidences, each detection takes the first
-    ground truth of highest IoU, by per-pair pixel counting; it is a naming
-    error when that IoU reaches 0.5 and the two labels differ. Many
-    detections may take the same ground truth.
+    ground truth of highest IoU, by pixel counting: the intersection per
+    pair, the union as the two masks' areas less it. It is a naming error
+    when that IoU reaches 0.5 and the two labels differ. Many detections
+    may take the same ground truth.
     """
     mismatches = 0
+    gt_areas = [int(np.count_nonzero(g)) for g in gt_masks]
     for d, label in zip(det_masks, det_labels):
+        area = int(np.count_nonzero(d))
         best_gt, best_iou = None, 0.0
-        for gi, g in enumerate(gt_masks):
+        for gi, (g, g_area) in enumerate(zip(gt_masks, gt_areas)):
             inter = int(np.count_nonzero(d & g))
-            union = int(np.count_nonzero(d | g))
+            union = area + g_area - inter
             v = inter / union if union else 0.0
             if best_gt is None or v > best_iou:
                 best_gt, best_iou = gi, v

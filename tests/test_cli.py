@@ -451,7 +451,7 @@ class TestPrcurveCommand:
         def unused(*args, **kwargs):
             raise AssertionError("prcurve computed an input it does not use")
 
-        for name in ("table_pairwise_iou", "naming_error", "duplicate_confusion"):
+        for name in ("table_pairwise_iou", "naming_error", "dc_cell_scores"):
             monkeypatch.setattr(evaluate_mod, name, unused)
         result = runner.invoke(main, ["prcurve", "--gt", str(synth_dir / "annotations.json"),
                                       "--dt", str(synth_dir / "detections.json")])

@@ -80,6 +80,15 @@ class TestLoadGroundTruth:
         got = decode(ds.gts_by_image[1][0].mask)
         assert got.sum() == 16  # pixel centers strictly inside the 4x4 square
 
+    @pytest.mark.parametrize("value", [None, True, float("nan"), float("inf"), -float("inf"), "1"])
+    def test_polygon_coordinates_must_be_finite_numbers(self, gt_file, value):
+        poly = [[0, 0, 8, 0, 8, 8, 0, 8]]
+        ann = {"id": 4, "image_id": 1, "category_id": 1, "segmentation": poly}
+        assert load_ground_truth(gt_file([ann])).gts_by_image[1][0].mask.area == 64
+        poly[0][1] = value
+        with pytest.raises(LoadError, match=r"^annotation 4: field 'segmentation' must "):
+            load_ground_truth(gt_file([ann]))
+
     def test_bad_pixel_sum_names_annotation(self, gt_file):
         ann = {"id": 42, "image_id": 1, "category_id": 1,
                "segmentation": {"size": [8, 8], "counts": [10, 4, 49]}}
@@ -324,6 +333,15 @@ class TestLoadDetections:
                "segmentation": seg_of(block(8, 8, 0, 0, 2, 2))}
         got = load_detections(self.write_dt(tmp_path, [rec]), small_dataset)
         assert got.rejected_bad_score == 1 and got.n_loaded == 0
+
+    @pytest.mark.parametrize("value", [None, True, float("nan"), float("inf"), -float("inf"), "1"])
+    def test_polygon_coordinates_must_be_finite_numbers(self, tmp_path, small_dataset, value):
+        good = {"image_id": 1, "category_id": 1, "score": 0.5,
+                "segmentation": [[0, 0, 8, 0, 8, 8, 0, 8]]}
+        assert load_detections(self.write_dt(tmp_path, [good]), small_dataset).n_loaded == 1
+        rec = {**good, "segmentation": [[0, value, 8, 0, 8, 8, 0, 8]]}
+        with pytest.raises(LoadError, match=r"^detection 1: field 'segmentation' must "):
+            load_detections(self.write_dt(tmp_path, [good, rec]), small_dataset)
 
     def test_empty_masks_counted(self, tmp_path, small_dataset):
         recs = [{"image_id": 1, "category_id": 1, "score": 0.5,

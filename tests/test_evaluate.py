@@ -17,8 +17,9 @@ from hedgeval.coco import (
     ImageInfo,
 )
 from hedgeval.evaluate import EvalConfig, build_report, evaluate
+from hedgeval.hedging import DcConfig, duplicate_confusion
 from hedgeval.lrp import lrp, olrp
-from hedgeval.mask import MaskTable, decode, encode
+from hedgeval.mask import MaskTable, decode, encode, iou_matrix
 from hedgeval.synth import SynthConfig, generate, perfect_detector
 
 H = W = 32
@@ -193,6 +194,19 @@ class TestPerfectAndHedged:
 
         self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_entry_off)
 
+    def test_verify_checks_the_reported_dc_cells(self, synth, monkeypatch):
+        def one_cell_off(compute_slices):
+            def corrupted(*args):
+                slices = list(compute_slices(*args))
+                for _, grids, _, kept in slices:
+                    if kept:  # a sampled image: its first group at the first DC IoU threshold
+                        row = grids[0][0]
+                        row[next(vi for vi, x in enumerate(row) if x is not None)] += 1e-6
+                return slices
+            return corrupted
+
+        self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_cell_off)
+
     def test_only_the_sampled_images_keep_their_blocks(self, synth, monkeypatch):
         # every other image leaves the pass as reduced values: no det x det
         # or det x GT block outlives it
@@ -329,6 +343,40 @@ class TestNamingErrorPath:
         assert metrics["ne"] == pytest.approx(0.5)
         assert metrics["ne_mismatch_count"] == 1
         assert metrics["n_gt"] == 2
+
+
+class TestDuplicateConfusionPath:
+    @pytest.mark.parametrize("grid", [
+        {},
+        {"dc_iou_thrs": (0.3, 0.6), "dc_conf_thrs": (0.2, 0.55, 0.95)},
+    ])
+    def test_pools_as_duplicate_confusion(self, grid):
+        # same-category overlaps at IoU 0.6 and 0.75, a detection below
+        # every floor, and records listed out of image and category order
+        images = {i: ImageInfo(i, H, W) for i in (1, 2)}
+        cats = {c: CategoryInfo(c, f"c{c}") for c in (1, 2)}
+        gts = {1: [GroundTruthInstance(1, 1, 1, box(0, 0)), GroundTruthInstance(1, 2, 2, box(10, 10))],
+               2: [GroundTruthInstance(2, 3, 2, box(20, 20))]}
+        dets = {
+            2: [Detection(2, 2, 0.7, box(20, 20)), Detection(2, 1, 0.4, box(5, 5)),
+                Detection(2, 2, 0.96, box(20, 21, ww=3)), Detection(2, 2, 0.05, box(21, 20))],
+            1: [Detection(1, 2, 0.8, box(10, 10)), Detection(1, 1, 0.9, box(0, 0)),
+                Detection(1, 1, 0.6, box(1, 0)), Detection(1, 2, 0.5, box(10, 11)),
+                Detection(1, 1, 0.3, box(0, 1))],
+        }
+        cfg = EvalConfig(**grid)
+        metrics, _ = evaluate(Dataset(images, cats, gts), dets, cfg)
+
+        groups = []
+        for image_id in sorted(dets):
+            for cat in sorted(cats):
+                group = [d for d in dets[image_id] if d.category_id == cat]
+                masks = [decode(d.mask) for d in group]
+                groups.append((np.array([d.score for d in group]), iou_matrix(masks, masks)))
+        want = duplicate_confusion(groups, DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
+        assert want.dc > 0.0
+        assert (metrics["dc"], metrics["dc_grid"], metrics["dc_cells"]) == (
+            want.dc, want.grid, want.cells)
 
 
 class TestDegenerateInputs:

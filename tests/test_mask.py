@@ -24,7 +24,6 @@ from hedgeval.mask import (
     iou,
     iou_matrix,
     leb_counts,
-    pairwise_iou,
     rasterize_polygon,
     table_iou,
     table_pairwise_iou,
@@ -397,6 +396,11 @@ def random_masks(seed, n, height=64, width=64):
     return list(rng.random((n, height, width)) < density)
 
 
+def dense_pairwise_iou(masks) -> np.ndarray:
+    """``table_pairwise_iou`` of the table of dense masks' encoded runs."""
+    return table_pairwise_iou(MaskTable.from_rles(map(encode, masks)))
+
+
 class TestIouExactness:
     """IoU entries are exact, so any block of a larger matrix is bit-equal
     to the same pairs computed on their own."""
@@ -415,7 +419,7 @@ class TestIouExactness:
     @given(st.integers(0, 2**32), st.integers(0, 12))
     def test_pairwise_equals_iou_matrix(self, seed, n):
         masks = random_masks(seed, n)
-        assert np.array_equal(pairwise_iou(masks), iou_matrix(masks, list(masks)))
+        assert np.array_equal(dense_pairwise_iou(masks), iou_matrix(masks, list(masks)))
 
 
 @st.composite
@@ -449,7 +453,7 @@ class TestSparseIou:
     def test_entries_equal_single_pair_iou(self, masks):
         a, b = masks
         mat = iou_matrix(a, b)
-        pair = pairwise_iou(a)
+        pair = dense_pairwise_iou(a)
         assert mat.shape == (len(a), len(b))
         assert np.array_equal(pair, pair.T)
         for i, x in enumerate(a):
@@ -465,7 +469,7 @@ class TestSparseIou:
         holed[h // 2, w // 2] = False
         want = (h * w - 1) / (h * w)
         assert iou_matrix([full], [holed])[0, 0] == want
-        assert pairwise_iou([full, holed])[0, 1] == want
+        assert dense_pairwise_iou([full, holed])[0, 1] == want
 
     @pytest.mark.parametrize("other", [(3, 2), (2, 4)])
     def test_shape_mismatch_raises(self, other):
@@ -473,7 +477,7 @@ class TestSparseIou:
         with pytest.raises(ValueError, match="dimensions differ"):
             iou_matrix([a], [b])
         with pytest.raises(ValueError, match="dimensions differ"):
-            pairwise_iou([a, b])
+            MaskTable.from_rles(map(encode, [a, b]))
 
 
 def scanned_box(m: np.ndarray):
