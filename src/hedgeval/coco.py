@@ -19,6 +19,7 @@ import numpy as np
 
 from .mask import (
     RleMask,
+    _decoded_rle,
     _foreground_runs,
     encode,
     leb_counts,
@@ -182,7 +183,7 @@ def _with_masks(checked, fault):
     for label, img, source, *fields in checked:
         try:
             if isinstance(source, str):
-                mask = RleMask(img.height, img.width, next(leb))
+                mask = _decoded_rle(img.height, img.width, next(leb))
             elif isinstance(source, tuple):
                 mask = RleMask(img.height, img.width, source)
             else:
@@ -223,7 +224,9 @@ def load_ground_truth(path) -> Dataset:
     categories: dict[int, CategoryInfo] = {}
     for k, rec in enumerate(raw["categories"]):
         _require(rec, ("id", "name"), "category record")
-        cat = CategoryInfo(_integer(rec["id"], f"categories[{k}].id"), str(rec["name"]))
+        cat = CategoryInfo(_integer(rec["id"], f"categories[{k}].id"), rec["name"])
+        if not isinstance(cat.name, str):
+            raise LoadError(f"field 'categories[{k}].name' must be a string, got {cat.name!r}")
         if cat.id in categories:
             raise LoadError(f"categories: duplicate id {cat.id}")
         categories[cat.id] = cat

@@ -93,7 +93,7 @@ def olrp_scan(scores, is_tp, tp_iou, n_gt: int, iou_thr: float) -> tuple[LrpResu
     values = (loc_cum[cuts] + n_fp + n_fn) / (n_tp + n_fp + n_fn)
     b = cuts[np.argmin(values)]  # the first minimum: the highest such cutoff
     n_tp = int(tp_cum[b])
-    return _components(loc_cum[b], n_tp, int(b) + 1 - n_tp, n_gt - n_tp), float(scores[b])
+    return _components(float(loc_cum[b]), n_tp, int(b) + 1 - n_tp, n_gt - n_tp), float(scores[b])
 
 
 def olrp(det_masks, det_scores, gt_masks, iou_thr: float = 0.5) -> tuple[LrpResult, float | None]:

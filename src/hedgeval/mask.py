@@ -38,9 +38,9 @@ class RleMask:
 
     ``counts`` alternates background/foreground run lengths in column-major
     pixel order and always begins with a (possibly zero-length) background run.
-    The constructor checks the runs, as every loader needs; the runs that
-    ``encode`` and ``encode_box`` derive are valid by construction and skip
-    the check (``_unchecked``).
+    The constructor checks the runs, as raw counts from outside need; runs
+    that ``encode`` derives, and decoded runs whose sum ``_decoded_rle``
+    has checked, skip it (``_unchecked``).
     """
 
     height: int
@@ -63,10 +63,10 @@ class RleMask:
 
     @classmethod
     def _unchecked(cls, height: int, width: int, counts) -> "RleMask":
-        """The mask of runs that are valid by construction (non-negative
-        ``int`` lengths summing to height x width), built without the
-        checks of ``__post_init__``; for runs this package derives itself,
-        never for outside input."""
+        """The mask of runs known to be valid (non-negative ``int`` lengths
+        summing to height x width, height and width at least 1), built
+        without the checks of ``__post_init__``: runs this package derives
+        itself, or decoded runs whose sum ``_decoded_rle`` has checked."""
         rle = object.__new__(cls)
         rle.__dict__.update(height=height, width=width, counts=tuple(counts))
         return rle
@@ -245,10 +245,6 @@ def _leb_chunk(strings: list[str], offset: int):
     """Yield the run lengths of one chunk's strings; ``offset`` is the batch
     index of its first string."""
     lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
-    if not lengths.any():
-        for _ in strings:
-            yield []
-        return
     text = "".join(strings).encode("utf-32-le", "surrogatepass")
     groups = np.frombuffer(text, dtype="<u4").astype(np.int64) - _LEB_CHAR_LO
     bad = (groups < 0) | (groups > _LEB_CHAR_HI - _LEB_CHAR_LO)
@@ -259,7 +255,7 @@ def _leb_chunk(strings: list[str], offset: int):
     value_end = ~more
     value_end[last] = True
     ends = np.flatnonzero(value_end)  # last character of each value
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts = np.concatenate(([0], ends + 1))[:-1]
     sizes = ends - starts + 1
     # shift-accumulate the 5-bit payloads, low groups first; a value of
     # more than _LEB_MAX_GROUPS groups faults, so clipping its shift is safe
@@ -285,50 +281,53 @@ def _leb_chunk(strings: list[str], offset: int):
     suspect = np.zeros(len(strings), dtype=bool)
     suspect[np.searchsorted(str_end, flagged, side="right")] = True
     flat = counts.tolist()
-    bounds = np.stack((first, cut), axis=1).tolist()
-    done = 0
-    for k in np.flatnonzero(suspect).tolist():
-        for a, b in bounds[done:k]:
-            yield flat[a:b]
-        a, b = bounds[k]
-        s0 = int(str_end[k] - lengths[k])
-        yield _leb_exact(strings[k], values[a:b].tolist(), (starts[a:b] - s0).tolist(),
-                         sizes[a:b].tolist(), (~more[ends[a:b]] & ~bad[ends[a:b]]).tolist(),
-                         np.flatnonzero(bad[s0:str_end[k]]), offset + k)
-        done = k + 1
-    for a, b in bounds[done:]:
-        yield flat[a:b]
+    for k, (s, exact, a, b) in enumerate(zip(strings, suspect.tolist(), first.tolist(), cut.tolist())):
+        yield _leb_exact(s, offset + k) if exact else flat[a:b]
 
 
-def _leb_exact(s: str, values, starts, sizes, complete, bad_at, index: int) -> list[int]:
-    """Run lengths of one string the vectorised pass flagged, accumulated in
-    Python integers, or its first fault by character position. ``values``
-    are the string's raw values, ``starts`` and ``sizes`` their character
-    spans, ``complete`` whether each ends on a valid final group, and
-    ``bad_at`` the positions of out-of-range characters."""
-    stop = int(bad_at[0]) if bad_at.size else len(s)
+def _leb_exact(s: str, index: int) -> list[int]:
+    """Run lengths of one string the vectorised pass flagged, read one
+    character at a time in Python integers as ``oracles.decompress_leb_naive``
+    does, plus the ``_LEB_MAX_GROUPS`` limit; the first fault by character
+    position raises ``MalformedRleError`` with ``index``."""
     counts: list[int] = []
-    for x, start, size, whole in zip(values, starts, sizes, complete):
-        if size > _LEB_MAX_GROUPS and start + _LEB_MAX_GROUPS < stop:
-            raise MalformedRleError(
-                f"counts value at position {start} has more than {_LEB_MAX_GROUPS} groups", index)
-        if not whole:
-            break
+    i, n = 0, len(s)
+    while i < n:
+        start, x, k, more = i, 0, 0, True
+        while more:
+            if i >= n:
+                raise MalformedRleError(f"truncated counts string of length {n}", index)
+            group = ord(s[i]) - _LEB_CHAR_LO
+            if not 0 <= group <= _LEB_CHAR_HI - _LEB_CHAR_LO:
+                raise MalformedRleError(f"counts character {s[i]!r} at position {i} out of range", index)
+            if k == _LEB_MAX_GROUPS:
+                raise MalformedRleError(
+                    f"counts value at position {start} has more than {_LEB_MAX_GROUPS} groups", index)
+            x |= (group & 0x1F) << (5 * k)
+            more = group & 0x20
+            i += 1
+            k += 1
+        if group & 0x10:  # sign-extend from the last group
+            x |= -1 << (5 * k)
         if len(counts) > 2:
             x += counts[-2]
         if x < 0:
             raise MalformedRleError(f"negative run length {x} at count {len(counts)}", index)
         counts.append(x)
-    if stop < len(s):
-        raise MalformedRleError(f"counts character {s[stop]!r} at position {stop} out of range", index)
-    if len(counts) < len(values):
-        raise MalformedRleError(f"truncated counts string of length {len(s)}", index)
     return counts
+
+
+def _decoded_rle(height: int, width: int, counts: list[int]) -> RleMask:
+    """The mask of runs ``leb_counts`` decoded (non-negative ints): only their
+    sum is checked here, and a wrong size gets the constructor's message."""
+    if height >= 1 and width >= 1 and sum(counts) == height * width:
+        return RleMask._unchecked(height, width, counts)
+    return RleMask(height, width, counts)
 
 
 def decompress_leb(s: str, height: int, width: int) -> RleMask:
     """Decompress one COCO counts string (inverse of compress_leb)."""
-    return RleMask(height, width, next(leb_counts([s])))
+    return _decoded_rle(height, width, next(leb_counts([s])))
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray):

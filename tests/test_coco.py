@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hedgeval.coco import (
     write_ground_truth,
     write_semantic_masks,
 )
-from hedgeval.mask import RleMask, decode, encode
+from hedgeval.mask import RleMask, compress_leb, decode, encode
 
 
 def seg_of(mask):
@@ -211,6 +212,11 @@ class TestLoadGroundTruth:
             ann[field] = value
         with pytest.raises(LoadError, match=rf"^annotation .*: field '{field}' must be an integer"):
             load_ground_truth(gt_file([ann]))
+
+    @pytest.mark.parametrize("value", [None, 3, ["a"], {"a": 1}, True])
+    def test_category_name_must_be_a_string(self, gt_file, value):
+        with pytest.raises(LoadError, match=rf"^field 'categories\[0\]\.name' must be a string, got {re.escape(repr(value))}$"):
+            load_ground_truth(gt_file([], categories=[{"id": 1, "name": value}]))
 
     @pytest.mark.parametrize("value", ["8", None, [8]])
     def test_image_and_category_fields_reject_non_numbers(self, gt_file, value):
@@ -611,6 +617,51 @@ class TestFirstFaultInFileOrder:
                 label, load = f"semantic mask {files[1]}", lambda: load_semantic_masks(root, ds)
         with pytest.raises(LoadError, match=f"^{re.escape(label)}: {re.escape(message)}"):
             load()
+
+
+class TestDecodedRunsCheckedOnce:
+    """The decoder checks a counts string's format and signs; the loaders
+    then check only its runs' sum against the mask size."""
+
+    LOADERS = ["ground truth", "detections", "semantic directory"]
+
+    @staticmethod
+    def load_one(tmp_path, gt_file, loader, seg):
+        """The loaded mask of ``seg``, the one segmentation of an 8x8 image
+        in ``loader``'s file, and the label a fault in it is named by."""
+        if loader == "ground truth":
+            ann = {"id": 7, "image_id": 1, "category_id": 1, "segmentation": seg}
+            return lambda: load_ground_truth(gt_file([ann])).gts_by_image[1][0].mask, "annotation 7"
+        ds = load_ground_truth(gt_file([]))
+        if loader == "detections":
+            path = tmp_path / "dt.json"
+            path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5, "segmentation": seg}]))
+            return lambda: load_detections(path, ds).by_image[1][0].mask, "detection 0"
+        fp = tmp_path / "semantic" / "1" / "1.json"
+        fp.parent.mkdir(parents=True)
+        fp.write_text(json.dumps(seg))
+        return lambda: load_semantic_masks(tmp_path / "semantic", ds)[1].masks[1], f"semantic mask {fp}"
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_runs_a_pixel_too_long(self, tmp_path, gt_file, loader):
+        counts = list(encode(block(8, 8, 2, 2, 3, 3)).counts)
+        counts[-1] += 1  # valid runs, the last a pixel too long
+        seg = {"size": [8, 8], "counts": compress_leb(SimpleNamespace(counts=counts))}
+        load, label = self.load_one(tmp_path, gt_file, loader, seg)
+        message = "run lengths sum to 65, expected 64 for a 8x8 mask"
+        with pytest.raises(LoadError, match=f"^{re.escape(label)}: {re.escape(message)}$"):
+            load()
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_valid_strings_skip_the_constructor_check(self, tmp_path, gt_file, loader, monkeypatch):
+        expected = encode(block(8, 8, 2, 2, 3, 3))
+        load, _ = self.load_one(tmp_path, gt_file, loader, expected.to_json())
+
+        def rewalk(rle):
+            raise AssertionError("RleMask.__post_init__ ran on a decoded counts string")
+
+        monkeypatch.setattr(RleMask, "__post_init__", rewalk)
+        assert load() == expected
 
 
 class TestSchemas:

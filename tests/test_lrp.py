@@ -111,6 +111,9 @@ class TestOlrp:
                 assert got.lrp is None and cutoff is None
                 continue
             assert got.lrp == pytest.approx(ref_value, abs=1e-12), f"trial {trial}"
+            # Python floats, as lrp() returns, not numpy scalars
+            for v in (got.lrp, got.lrp_loc, got.lrp_fp, got.lrp_fn):
+                assert v is None or type(v) is float, f"trial {trial}: {v!r}"
             if cutoff is not None:
                 at_cut = lrp_at_cutoff(dets, scores, gts, 0.5, cutoff)
                 assert (got.tp, got.fp, got.fn) == (at_cut.tp, at_cut.fp, at_cut.fn)

@@ -263,6 +263,14 @@ class TestCountsString:
         with pytest.raises(MalformedRleError):
             decompress_leb(chr(112), 1, 1)
 
+    def test_runs_off_the_mask_size_keep_the_constructor_message(self):
+        # the runs of a 3x3 block at (2, 2) of an 8x8 mask, the last a pixel too long
+        s = compress_leb(SimpleNamespace(counts=[18, 3, 5, 3, 5, 3, 28]))
+        with pytest.raises(MalformedRleError, match=r"^run lengths sum to 65, expected 64 for a 8x8 mask$"):
+            decompress_leb(s, 8, 8)
+        with pytest.raises(MalformedRleError, match=r"^invalid mask size 0x5$"):
+            decompress_leb("", 0, 5)
+
 
 LEB_ALPHABET = [chr(c) for c in range(48, 112)]
 OUT_OF_RANGE = ["!", "/", "p", "~", "\x00", "\u00e9", "\u20ac", "\ud800"]
@@ -311,6 +319,20 @@ class TestLebCounts:
         # most strings longer than a chunk
         with patch.object(mask_module, "_LEB_CHUNK", chunk):
             assert batch_decode(batch) == oracle_batch(batch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts_strings)
+    def test_exact_fallback_is_the_per_character_loop(self, s):
+        # valid strings reach _leb_exact only on int64 overflow in a load,
+        # so the fallback is checked here on every string directly
+        try:
+            expected = decompress_leb_naive(s)
+        except MalformedRleError as e:
+            with pytest.raises(MalformedRleError) as got:
+                mask_module._leb_exact(s, 0)
+            assert (str(got.value), got.value.index) == (str(e), 0)
+        else:
+            assert mask_module._leb_exact(s, 0) == expected
 
     def test_strings_longer_than_a_chunk(self, rng):
         batch = [compress_leb(encode(random_mask(rng, *shape, density)))
