@@ -35,18 +35,17 @@ from .hedging import (
     DEFAULT_DC_CONF_THRS,
     DEFAULT_DC_IOU_THRS,
     DcConfig,
-    DetectionGraph,
     _dc_result,
     _ne_result,
     check_distinct,
     dc_cell_scores,
-    dc_single,
     naming_error,
 )
 from .lrp import lrp_from_matching, olrp_scan
-from .mask import MaskTable, decode, iou, table_iou, table_pairwise_iou
+from .mask import MaskTable, table_iou, table_pairwise_iou
 from .matching import confidence_order, greedy_match_from_ious
 from .pr import (
+    FP_TP_RECALL_BINS,
     average_precision,
     build_pr_curve,
     f1_from_counts,
@@ -57,7 +56,6 @@ from .pr import (
 DEFAULT_AP_IOU_THRS = tuple(np.arange(50, 100, 5) / 100.0)  # 0.50 .. 0.95
 
 VERIFY_TOL = 1e-9
-VERIFY_MAX_GRAPH = 8  # path enumeration stays feasible up to here
 
 
 @dataclass(frozen=True)
@@ -192,10 +190,11 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     """
     cfg = cfg or EvalConfig()
     thrs = dict.fromkeys((*cfg.iou_thrs, cfg.lrp_iou_thr, cfg.f1_iou_thr))
-    rng, picks = None, []
+    picks = []
     if cfg.verify:  # the sample is the RNG's first draw, known before the pass
-        rng, n = np.random.default_rng(cfg.verify_seed), len(dataset.images)
-        picks = sorted(rng.choice(n, size=min(n, max(1, round(0.01 * n))), replace=False).tolist())
+        n = len(dataset.images)
+        picks = sorted(np.random.default_rng(cfg.verify_seed).choice(
+            n, size=min(n, max(1, round(0.01 * n))), replace=False).tolist())
     slices = list(compute_slices(dataset, dets_by_image, cfg, thrs, set(picks)))
     cats = sorted(dataset.categories)
     pooled = {c: pool_rows([r[c] for r, *_ in slices if c in r], thrs) for c in cats}
@@ -225,8 +224,7 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
     # image-major, then category: build_pr_curve breaks score ties by input order
     plain = pool_rows([r for rows, *_ in slices for r in rows.values()], thrs).floored(cfg.min_score)
     curve = build_pr_curve(plain.scores, plain.tp(t), total_gt, t)
-    bins = np.linspace(0.0, 1.0, 11)
-    ratios = fp_tp_ratio_curve(curve, bins)
+    ratios = fp_tp_ratio_curve(curve, FP_TP_RECALL_BINS)
 
     dc_res = _dc_result([g for _, grids, *_ in slices for g in grids],
                         DcConfig(cfg.dc_iou_thrs, cfg.dc_conf_thrs))
@@ -252,111 +250,44 @@ def evaluate(dataset: Dataset, dets_by_image, cfg: EvalConfig | None = None
         "lrp_fp": mean_ap(r.lrp_fp for r in lrp_by_cat.values()),
         "lrp_fn": mean_ap(r.lrp_fn for r in lrp_by_cat.values()),
         "olrp": mean_ap(olrp_by_cat.values()),
-        "fp_tp_curve": {f"{b:.2f}": r for b, r in zip(bins, ratios)},
+        "fp_tp_curve": {f"{b:.2f}": r for b, r in zip(FP_TP_RECALL_BINS, ratios)},
     }
-    verify = _verify(dataset, dets_by_image, slices, picks, rng, curves, cfg) if cfg.verify else None
+    verify = _verify(dataset, dets_by_image, slices, picks, curves, cfg) if cfg.verify else None
     return metrics, verify
 
 
-def _dense_iou(rows, cols) -> np.ndarray:
-    return np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+def _verify(dataset: Dataset, dets_by_image, slices, picks, curves, cfg: EvalConfig) -> dict:
+    """Check what ``evaluate`` reported against its spec; nothing is rebuilt.
 
-
-def _verify(dataset: Dataset, dets_by_image, slices, picks, rng, curves, cfg: EvalConfig) -> dict:
-    """Check what ``evaluate`` reported for the image positions ``picks``
-    (drawn by ``rng``) against the brute-force references, the decoded
-    masks and the input detections' own scores. Nothing is rebuilt.
-
-    Per sampled image, its ``compute_slices`` entry: each record's scores,
-    ``max_dets`` marks (the image's top detections by score, ties in file
-    order) and greedy match (TP flags and matched IoUs at the first AP IoU
-    threshold, ``lrp_iou_thr`` and ``f1_iou_thr``); the det x GT block and
-    each category's DC det x det block against ``iou``, entry for entry;
-    the naming-error counts; duplicate confusion on small graphs read
-    from those DC blocks (the whole graph and each confidence floor of
-    ``cfg.dc_conf_thrs``); and each group's reported DC cells at the first
-    DC IoU threshold, by path enumeration where the floor keeps at most
-    ``VERIFY_MAX_GRAPH`` detections, else by ``dc_single`` on the whole
-    block's graph. Then the 101-point AP of every category at the first
-    IoU threshold.
+    Each sampled image's ``compute_slices`` entry (at the positions
+    ``picks``) is compared with ``oracles.evaluate_image_bruteforce`` on
+    the image's decoded masks: its IoU blocks, labels, records, DC groups
+    and NE counts exactly, its matched IoUs at every threshold and every DC
+    cell within ``VERIFY_TOL``. Then the 101-point AP of every category at
+    the first IoU threshold is checked against ``oracles.ap_naive``.
     """
-    from .oracles import (ap_naive, dc_bruteforce, induced_subgraph, match_bruteforce,
-                          naming_error_bruteforce)
+    from .oracles import agree, ap_naive, evaluate_image_bruteforce
 
     ids = sorted(dataset.images)
-    ok = True
-    matches_checked = graphs_checked = 0
-
-    t0 = cfg.iou_thrs[0]
-    match_thrs = dict.fromkeys((t0, cfg.lrp_iou_thr, cfg.f1_iou_thr))
-    dc_t, dc_v = cfg.dc_iou_thrs[0], cfg.dc_conf_thrs[0]
+    ok, matches_checked, graphs_checked = True, 0, 0
     for i in picks:
-        rows, grids, ne, (dc_groups, (det_gt, *labels)) = slices[i]
-        dc_cells = dict(zip(dc_groups, grids))
-        gts, dets = dataset.gts_by_image.get(ids[i], []), dets_by_image.get(ids[i], [])
-        det_masks, gt_masks = [decode(d.mask) for d in dets], [decode(g.mask) for g in gts]
-        det_cats, gt_cats = [d.category_id for d in dets], [g.category_id for g in gts]
-        scores = np.array([d.score for d in dets], dtype=np.float64)
-        capped = np.zeros(len(dets), dtype=bool)
-        capped[sorted(range(len(dets)), key=lambda j: (-scores[j], j))[:cfg.max_dets]] = True
-        cats = sorted(set(det_cats) | set(gt_cats))
-        if (labels != [det_cats, gt_cats] or list(rows) != cats
-                or list(dc_groups) != [c for c in cats if c in det_cats]
-                or not np.array_equal(det_gt, _dense_iou(det_masks, gt_masks))
-                or (ne.mismatches, ne.n_gt) != (
-                    naming_error_bruteforce(det_masks, det_cats, gt_masks, gt_cats), len(gts))):
-            ok = False
-        for cat, rec in rows.items():
-            d = [j for j, c in enumerate(det_cats) if c == cat]
-            dm, s = [det_masks[j] for j in d], scores[d]
-            gm = [m for m, c in zip(gt_masks, gt_cats) if c == cat]
-            matches_checked += len(d)
-            if not (np.array_equal(rec.scores, s) and np.array_equal(rec.capped, capped[d])
-                    and rec.n_gt == len(gm)):
-                ok = False
-            for t in match_thrs:
-                want = match_bruteforce(dm, s, gm, t)
-                if not (np.array_equal(rec.tp(t), [g is not None for g in want.det_to_gt])
-                        and np.allclose(rec.ious[t], want.det_iou, atol=VERIFY_TOL)):
-                    ok = False
-            if cat not in dc_groups:
-                continue
-            dc_scores, block = dc_groups[cat]
-            if not (np.array_equal(dc_scores, s) and np.array_equal(block, _dense_iou(dm, dm))):
-                ok = False
-            whole = DetectionGraph.from_ious(s, block, dc_t)
-            for v, got in zip(cfg.dc_conf_thrs, dc_cells[cat][0]):  # the cells eval pooled
-                n = np.count_nonzero(s >= v)
-                if not n:
-                    if got is not None:
-                        ok = False
-                    continue
-                want = (dc_bruteforce(induced_subgraph(whole, v)) if n <= VERIFY_MAX_GRAPH
-                        else dc_single(whole, v))
-                if got is None or abs(got - want) > VERIFY_TOL:
-                    ok = False
-            keep = np.flatnonzero(s >= dc_v)
-            if keep.size > VERIFY_MAX_GRAPH:
-                # induced subgraph keeps path enumeration feasible while
-                # still exercising the production algorithm on real data
-                keep = np.sort(rng.choice(keep, size=VERIFY_MAX_GRAPH, replace=False))
-            if keep.size >= 2:
-                g = DetectionGraph.from_ious(s[keep], block[np.ix_(keep, keep)], dc_t)
-                graphs_checked += 1
-                if abs(dc_single(g) - dc_bruteforce(g)) > VERIFY_TOL:
-                    ok = False
-                for v in cfg.dc_conf_thrs:  # the floors duplicate_confusion reads
-                    if abs(dc_single(g, v) - dc_bruteforce(induced_subgraph(g, v))) > VERIFY_TOL:
-                        ok = False
+        rows, grids, ne, (groups, (det_gt, det_cats, gt_cats)) = slices[i]
+        want = evaluate_image_bruteforce(dataset.gts_by_image.get(ids[i], []),
+                                         dets_by_image.get(ids[i], []), cfg)
+        got = {"det_gt": det_gt, "det_cats": det_cats, "gt_cats": gt_cats,
+               "records": {c: (r.scores, r.capped, r.n_gt) for c, r in rows.items()},
+               "matched": {c: r.ious for c, r in rows.items()},
+               "dc_blocks": groups, "dc_cells": dict(zip(groups, grids)),
+               "ne": (ne.mismatches, ne.n_gt)}
+        ok &= all(agree(got[k], v, VERIFY_TOL if k in ("matched", "dc_cells") else 0.0)
+                  for k, v in want.items())
+        matches_checked += sum(v.size for m in want["matched"].values() for v in m.values())
+        graphs_checked += len(want["dc_cells"]) * len(cfg.dc_iou_thrs)
 
     for cat in sorted(dataset.categories):
-        curve = curves[(cat, t0)]
-        want_ap = ap_naive(curve.is_tp, curve.n_gt)
-        got_ap = average_precision(curve)
-        if (want_ap is None) != (got_ap is None):
-            ok = False
-        elif want_ap is not None and abs(want_ap - got_ap) > VERIFY_TOL:
-            ok = False
+        curve = curves[(cat, cfg.iou_thrs[0])]
+        want_ap, got_ap = ap_naive(curve.is_tp, curve.n_gt), average_precision(curve)
+        ok &= agree(got_ap, want_ap, VERIFY_TOL)
 
     return {"images_checked": len(picks), "graphs_checked": graphs_checked,
             "matches_checked": matches_checked, "ok": ok}

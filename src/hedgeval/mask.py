@@ -68,7 +68,9 @@ class RleMask:
         without the checks of ``__post_init__``: runs this package derives
         itself, or decoded runs whose sum ``_decoded_rle`` has checked."""
         rle = object.__new__(cls)
-        rle.__dict__.update(height=height, width=width, counts=tuple(counts))
+        object.__setattr__(rle, "height", height)  # plain attribute writes: no per-instance dict
+        object.__setattr__(rle, "width", width)
+        object.__setattr__(rle, "counts", tuple(counts))
         return rle
 
     @property

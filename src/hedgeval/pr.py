@@ -17,6 +17,7 @@ import numpy as np
 from .matching import confidence_order, greedy_match
 
 AP_RECALL_SAMPLES = np.arange(101) / 100.0
+FP_TP_RECALL_BINS = np.arange(11) / 10  # k / 10 exactly as floats: 0.3, not 0.30000000000000004
 
 
 @dataclass
@@ -95,7 +96,7 @@ def fp_tp_ratio_curve(curve: PrCurve, recall_bins=None) -> list[float | None]:
     Bins the curve never reaches, or where the reaching prefix has no true
     positive yet, come back as None.
     """
-    bins = np.linspace(0.0, 1.0, 11) if recall_bins is None else np.asarray(recall_bins, dtype=np.float64)
+    bins = FP_TP_RECALL_BINS if recall_bins is None else np.asarray(recall_bins, dtype=np.float64)
     tp_cum = np.cumsum(curve.is_tp)
     fp_cum = np.cumsum(~curve.is_tp)
     out: list[float | None] = []

@@ -7,6 +7,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgeval.coco import (
     CategoryInfo,
@@ -16,10 +18,12 @@ from hedgeval.coco import (
     GroundTruthInstance,
     ImageInfo,
 )
-from hedgeval.evaluate import EvalConfig, build_report, evaluate
+from hedgeval import hedging
+from hedgeval.evaluate import VERIFY_TOL, EvalConfig, build_report, evaluate
 from hedgeval.hedging import DcConfig, duplicate_confusion
 from hedgeval.lrp import lrp, olrp
 from hedgeval.mask import MaskTable, decode, encode, iou_matrix
+from hedgeval.oracles import agree, evaluate_bruteforce
 from hedgeval.synth import SynthConfig, generate, perfect_detector
 
 H = W = 32
@@ -103,17 +107,14 @@ class TestPerfectAndHedged:
         assert verify["graphs_checked"] > 0
 
     def test_verify_checks_every_confidence_floor(self, synth, monkeypatch):
-        # the package exports a function named evaluate over the submodule
-        evaluate_mod = importlib.import_module("hedgeval.evaluate")
-
         dets = perfect_detector(synth, spatial_copies=2)
         _, clean = evaluate(synth, dets, EvalConfig(verify=True))
-        whole_graph_only = evaluate_mod.dc_single
+        whole_graph_only = hedging.dc_single
 
         def off_at_floors(g, floor=None):
             return whole_graph_only(g, floor) + (0.0 if floor is None else 1e-6)
 
-        monkeypatch.setattr(evaluate_mod, "dc_single", off_at_floors)
+        monkeypatch.setattr(hedging, "dc_single", off_at_floors)
         _, broken = evaluate(synth, dets, EvalConfig(verify=True))
         assert clean["ok"] and not broken["ok"]
         assert broken["graphs_checked"] == clean["graphs_checked"] > 0
@@ -194,18 +195,57 @@ class TestPerfectAndHedged:
 
         self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_entry_off)
 
-    def test_verify_checks_the_reported_dc_cells(self, synth, monkeypatch):
-        def one_cell_off(compute_slices):
+    @staticmethod
+    def _one_dc_cell_off(ti):
+        """A ``compute_slices`` wrapper that moves one reported DC cell of
+        each sampled image: its first group's first held cell at
+        ``dc_iou_thrs[ti]``."""
+        def wrap(compute_slices):
             def corrupted(*args):
                 slices = list(compute_slices(*args))
                 for _, grids, _, kept in slices:
-                    if kept:  # a sampled image: its first group at the first DC IoU threshold
-                        row = grids[0][0]
+                    if kept:
+                        row = grids[0][ti]
                         row[next(vi for vi, x in enumerate(row) if x is not None)] += 1e-6
                 return slices
             return corrupted
+        return wrap
 
-        self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", one_cell_off)
+    def test_verify_checks_the_reported_dc_cells(self, synth, monkeypatch):
+        self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", self._one_dc_cell_off(0))
+
+    def test_verify_checks_the_dc_cells_at_the_last_iou_threshold(self, synth, monkeypatch):
+        self._verify_clean_and_broken(synth, monkeypatch, "compute_slices", self._one_dc_cell_off(-1))
+
+    def test_verify_checks_the_match_at_the_last_iou_threshold(self, synth, monkeypatch):
+        last = EvalConfig().iou_thrs[-1]
+
+        def first_tp_off(r):
+            ious = dict(r.ious)
+            ious[last] = ious[last].copy()
+            hit = np.flatnonzero(ious[last])
+            if hit.size:
+                ious[last][hit[0]] -= 1e-6  # still a TP
+            return dataclasses.replace(r, ious=ious)
+
+        self._verify_clean_and_broken(synth, monkeypatch, "ranked_image",
+                                      self._each_record(first_tp_off))
+
+    def test_verify_checks_connectivity_beyond_eight_detections(self, synth, monkeypatch):
+        # a fault that path enumeration, feasible only on small graphs, never meets
+        dets = perfect_detector(synth, spatial_copies=2)
+        _, clean = evaluate(synth, dets, EvalConfig(verify=True))
+        right = hedging.bottleneck_connectivity
+
+        def off_on_large_graphs(g):
+            c = right(g)
+            return c + 1e-6 * (c > 0) if len(g) > 8 else c
+
+        monkeypatch.setattr(hedging, "bottleneck_connectivity", off_on_large_graphs)
+        _, broken = evaluate(synth, dets, EvalConfig(verify=True))
+        assert clean["ok"] and not broken["ok"]
+        for key in ("images_checked", "matches_checked", "graphs_checked"):
+            assert broken[key] == clean[key]
 
     def test_only_the_sampled_images_keep_their_blocks(self, synth, monkeypatch):
         # every other image leaves the pass as reduced values: no det x det
@@ -317,6 +357,17 @@ class TestDetectionSetSemantics:
         assert curve["0.00"] is None  # rank 1 has no TP yet
         assert all(curve[f"{b / 10:.2f}"] == 1.0 for b in range(1, 11))
 
+
+    def test_fp_tp_bins_read_the_rank_reaching_exact_tenths(self):
+        # ten GTs, an FP at rank 4: recall is exactly 0.3 at rank 3, 0.6 at
+        # rank 7 and 0.7 at rank 8
+        spots = [box(r, c) for r in (0, 8, 16, 24) for c in (0, 8, 16, 24)]
+        gts, fp = spots[:10], spots[10]
+        scores = np.linspace(0.99, 0.5, 11).tolist()
+        ds, dets = scene([(g, 1) for g in gts],
+                         [(m, 1, s) for m, s in zip(gts[:3] + [fp] + gts[3:], scores)])
+        curve = evaluate(ds, dets)[0]["fp_tp_curve"]
+        assert (curve["0.30"], curve["0.60"], curve["0.70"]) == (0.0, 1 / 6, 1 / 7)
 
     def test_f1_pool_is_image_major(self):
         # equal scores rank in pooling order: image 1's two TPs (one per
@@ -433,3 +484,55 @@ class TestBuildReport:
         report = build_report(ds, dets)
         assert report["metrics"]["map"] == 1.0
         assert "verify" not in report
+
+
+@st.composite
+def tiny_evaluations(draw):
+    """A dataset of 1-4 images of 8x8 to 16x16 pixels and 1-3 categories,
+    its detections and a config. Masks are rectangles, and a detection
+    often repeats an earlier mask or a ground truth, so IoUs land exactly
+    on thresholds and duplicate graphs form; scores tie, and images or
+    categories may have no detection or no ground truth."""
+    h, w = draw(st.integers(8, 16)), draw(st.integers(8, 16))
+    n_cats = draw(st.integers(1, 3))
+
+    def rect():
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        m = np.zeros((h, w), dtype=bool)
+        m[r0:draw(st.integers(r0 + 1, h)), c0:draw(st.integers(c0 + 1, w))] = True
+        return encode(m)
+
+    images, gts, dets = {}, {}, {}
+    for image_id in range(1, draw(st.integers(1, 4)) + 1):
+        images[image_id] = ImageInfo(image_id, h, w)
+        masks = [rect() for _ in range(draw(st.integers(0, 3)))]
+        gts[image_id] = [GroundTruthInstance(image_id, 10 * image_id + k, draw(st.integers(1, n_cats)), m)
+                         for k, m in enumerate(masks)]
+        image_dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            masks.append(draw(st.sampled_from(masks)) if masks and draw(st.booleans()) else rect())
+            score = draw(st.sampled_from((0.1, 0.3, 0.5, 0.75, 0.9, 1.0)))
+            image_dets.append(Detection(image_id, draw(st.integers(1, n_cats)), score, masks[-1]))
+        if image_dets or draw(st.booleans()):
+            dets[image_id] = image_dets
+    categories = {c: CategoryInfo(c, f"c{c}") for c in range(1, n_cats + 1)}
+    cfg = EvalConfig(
+        iou_thrs=draw(st.sampled_from((EvalConfig().iou_thrs, (0.75, 0.5)))),
+        lrp_iou_thr=draw(st.sampled_from((0.5, 0.75))),
+        f1_iou_thr=draw(st.sampled_from((0.5, 0.6))),
+        **draw(st.sampled_from(({}, {"dc_iou_thrs": (0.3, 0.6), "dc_conf_thrs": (0.2, 0.5, 0.95)}))),
+        min_score=draw(st.sampled_from((0.0, 0.5))),
+        max_dets=draw(st.integers(1, 8)),
+        verify=True, verify_seed=draw(st.integers(0, 3)))
+    return Dataset(images, categories, gts), dets, cfg
+
+
+class TestWholeReportSpec:
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_evaluations())
+    def test_evaluate_equals_the_brute_force_report(self, drawn):
+        ds, dets, cfg = drawn
+        metrics, verify = evaluate(ds, dets, cfg)
+        want = evaluate_bruteforce(ds, dets, cfg)
+        assert verify["ok"]
+        assert agree(metrics, want, VERIFY_TOL), (metrics, want)

@@ -16,6 +16,7 @@ from hedgeval.hedging import (
 from hedgeval.mask import iou_matrix
 from hedgeval.oracles import (
     bottleneck_bruteforce,
+    bottleneck_closure,
     dc_bruteforce,
     induced_subgraph,
     naming_error_bruteforce,
@@ -118,6 +119,28 @@ class TestBottleneckConnectivity:
         adj = np.triu(np.array(edges, dtype=bool).reshape(m, m), k=1)
         g = DetectionGraph(taus, adj | adj.T)
         assert np.array_equal(bottleneck_connectivity(g), bottleneck_bruteforce(g))
+
+
+class TestBottleneckClosure:
+    """``oracles.bottleneck_closure`` is ``eval --verify``'s connectivity at
+    any graph size, so it is held to path enumeration where that is
+    feasible."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from((0.2, 0.5, 0.9)) | st.floats(0.05, 1.0), min_size=m, max_size=m),
+        st.lists(st.booleans(), min_size=m * m, max_size=m * m))))
+    def test_matches_path_enumeration(self, drawn):
+        taus, edges = drawn
+        m = len(taus)
+        adj = np.triu(np.array(edges, dtype=bool).reshape(m, m), k=1)
+        g = DetectionGraph(taus, adj | adj.T)
+        assert np.array_equal(bottleneck_closure(g), bottleneck_bruteforce(g))
+
+    def test_matches_the_spanning_forest_beyond_enumeration(self, rng):
+        for _ in range(50):
+            g = random_graph(rng, max_m=40)
+            assert np.array_equal(bottleneck_closure(g), bottleneck_connectivity(g))
 
 
 class TestDcSingle:

@@ -208,3 +208,13 @@ class TestFpTpRatio:
         got = fp_tp_ratio_curve(c)
         assert len(got) == 11
         assert got[-1] == pytest.approx(0.0)
+
+    def test_default_bins_are_exact_tenths(self):
+        # ten GTs, an FP at rank 4: recall is exactly 0.3 at rank 3, 0.6 at
+        # rank 7 and 0.7 at rank 8, and each bin reads that rank
+        flags = [True] * 3 + [False] + [True] * 7
+        c = build_pr_curve(np.linspace(0.99, 0.5, len(flags)), flags, 10)
+        got = fp_tp_ratio_curve(c)
+        assert got[3] == 0.0
+        assert got[6] == 1 / 6
+        assert got[7] == 1 / 7
